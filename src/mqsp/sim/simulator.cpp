@@ -3,180 +3,172 @@
 #include "mqsp/support/error.hpp"
 #include "mqsp/support/parallel.hpp"
 
+#include <algorithm>
 #include <vector>
 
 namespace mqsp {
 
 namespace {
 
-/// Minimum work items per chunk when the gate kernels fan out over the
-/// pool. Registers whose (block, inner) walk fits one grain run inline with
-/// zero dispatch overhead, so small-register circuits behave exactly as the
-/// single-threaded code did.
+/// Minimum lattice bases per chunk when the gate kernels fan out over the
+/// pool. Gates whose control lattice fits one grain run inline with zero
+/// dispatch overhead — for the synthesizer's path-controlled gates that is
+/// every gate short of the widest subtrees.
 constexpr std::uint64_t kKernelGrain = 4096;
 
-/// One precomputed control test: flat index `x` satisfies the control iff
-/// (x / stride) % dim == level. Splitting the controls by stride lets the
-/// inner loops test only the digits that can actually vary there, instead
-/// of calling MixedRadix::digitAt per control per amplitude.
-struct DigitCheck {
-    std::uint64_t stride = 1;
-    std::uint64_t dim = 2;
-    std::uint64_t level = 0;
+/// The base indices one controlled gate acts on: `fixed` (the offsets of
+/// the digits the controls pin) plus every combination of the free digits,
+/// the non-target qudits no control mentions. The kernel walks the target
+/// digit itself, so a base is a flat index whose target digit is 0.
+struct ControlLattice {
+    struct FreeDigit {
+        std::uint64_t stride;
+        std::uint64_t dim;
+    };
+    std::uint64_t fixed = 0;
+    /// Least significant first; adjacent free qudits merge into one digit,
+    /// and there is always at least one (dim 1 when every qudit is pinned).
+    std::vector<FreeDigit> free;
+    std::uint64_t count = 0; ///< number of bases; 0 when the gate never fires
 };
 
-[[nodiscard]] bool satisfies(const std::vector<DigitCheck>& checks, std::uint64_t index) {
-    for (const auto& check : checks) {
-        if ((index / check.stride) % check.dim != check.level) {
-            return false;
+/// Resolve the controls of a gate on `target` whose walked index has target
+/// digit `walkedLevel`. An out-of-range control qudit throws (checked for
+/// every control, even after one that already rules the gate out); an
+/// out-of-range level, two different levels on one qudit, or a target-site
+/// control other than `walkedLevel` is a condition no index satisfies — a
+/// silent no-op gate.
+[[nodiscard]] ControlLattice buildLattice(const MixedRadix& radix, std::size_t target,
+                                          Level walkedLevel,
+                                          const std::vector<Control>& controls) {
+    constexpr std::uint64_t kFree = ~std::uint64_t{0};
+    std::vector<std::uint64_t> pinned(radix.numQudits(), kFree);
+    bool neverFires = false;
+    for (const auto& ctrl : controls) {
+        requireThat(ctrl.qudit < radix.numQudits(), "Simulator: control qudit out of range");
+        const std::uint64_t level = ctrl.level;
+        if (ctrl.qudit == target) {
+            neverFires = neverFires || ctrl.level != walkedLevel;
+        } else if (level >= radix.dimensionAt(ctrl.qudit) ||
+                   (pinned[ctrl.qudit] != kFree && pinned[ctrl.qudit] != level)) {
+            neverFires = true;
+        } else {
+            pinned[ctrl.qudit] = level;
         }
     }
-    return true;
-}
-
-/// The control tests of one gate, partitioned by where the controlled digit
-/// lives relative to the target's (block, inner) decomposition: a control on
-/// a more-significant qudit (stride >= blockSize) is constant per block; a
-/// control on a less-significant qudit (stride < target stride) is constant
-/// per inner offset. A control on the target itself (forbidden by Circuit,
-/// but legal to hand to Simulator::apply directly) depends only on the fixed
-/// level offset the kernel walks, so it collapses to a gate-level yes/no.
-struct ControlSplit {
-    std::vector<DigitCheck> perBlock;  ///< test against the block base index
-    std::vector<DigitCheck> perInner;  ///< test against the inner offset
-    bool neverFires = false;           ///< a target-site control missed the walked level
-};
-
-[[nodiscard]] ControlSplit splitControls(const MixedRadix& radix, std::size_t target,
-                                         Level walkedLevel,
-                                         const std::vector<Control>& controls) {
-    const std::uint64_t targetStride = radix.strideAt(target);
-    const std::uint64_t blockSize =
-        targetStride * static_cast<std::uint64_t>(radix.dimensionAt(target));
-    ControlSplit split;
-    for (const auto& ctrl : controls) {
-        // Qudit bounds mirror the digitAt() check of the historical walk; an
-        // out-of-range *level* stays what it always was — a condition no
-        // digit ever satisfies, i.e. a silent no-op gate.
-        requireThat(ctrl.qudit < radix.numQudits(), "Simulator: control qudit out of range");
-        if (ctrl.qudit == target) {
-            if (ctrl.level != walkedLevel) {
-                split.neverFires = true;
-            }
+    ControlLattice lattice;
+    if (neverFires) {
+        return lattice;
+    }
+    lattice.count = 1;
+    for (std::size_t site = radix.numQudits(); site-- > 0;) {
+        const std::uint64_t stride = radix.strideAt(site);
+        const std::uint64_t dim = radix.dimensionAt(site);
+        if (site == target) {
             continue;
         }
-        const DigitCheck check{radix.strideAt(ctrl.qudit),
-                               static_cast<std::uint64_t>(radix.dimensionAt(ctrl.qudit)),
-                               static_cast<std::uint64_t>(ctrl.level)};
-        if (check.stride >= blockSize) {
-            split.perBlock.push_back(check);
+        if (pinned[site] != kFree) {
+            lattice.fixed += pinned[site] * stride;
+            continue;
+        }
+        lattice.count *= dim;
+        auto& free = lattice.free;
+        if (!free.empty() && free.back().stride * free.back().dim == stride) {
+            free.back().dim *= dim; // contiguous with the previous free digit
         } else {
-            split.perInner.push_back(check);
+            free.push_back({stride, dim});
         }
     }
-    return split;
+    if (lattice.free.empty()) {
+        lattice.free.push_back({1, 1});
+    }
+    return lattice;
 }
 
-/// Apply a two-level update (rows/cols a,b of a 2x2 block) across the
-/// register. `m00..m11` is the block in the (a, b) basis. The (block, inner)
-/// pairs are independent, so they fan out over the thread pool; control
-/// checks are hoisted to one test per block and cheap stride arithmetic per
-/// inner offset.
+/// Call `body(base)` for lattice bases [begin, end) in order: decode `begin`
+/// once, then run the innermost free digit as a plain stride loop and carry
+/// into the outer digits odometer-style — no division per base.
+template <typename Body>
+void forEachBase(const ControlLattice& lattice, std::uint64_t begin, std::uint64_t end,
+                 Body&& body) {
+    const auto& free = lattice.free;
+    std::vector<std::uint64_t> digits(free.size());
+    std::uint64_t base = lattice.fixed;
+    std::uint64_t rest = begin;
+    for (std::size_t k = 0; k < free.size(); ++k) {
+        digits[k] = rest % free[k].dim;
+        rest /= free[k].dim;
+        base += digits[k] * free[k].stride;
+    }
+    std::uint64_t item = begin;
+    while (item < end) {
+        const std::uint64_t run = std::min(end - item, free[0].dim - digits[0]);
+        for (std::uint64_t i = 0; i < run; ++i, base += free[0].stride) {
+            body(base);
+        }
+        item += run;
+        digits[0] += run;
+        for (std::size_t k = 0; k + 1 < free.size() && digits[k] == free[k].dim; ++k) {
+            base += free[k + 1].stride - free[k].dim * free[k].stride;
+            digits[k] = 0;
+            ++digits[k + 1];
+        }
+    }
+}
+
+/// Apply a two-level update (rows/cols a,b of a 2x2 block) on every base of
+/// the control lattice. `m00..m11` is the block in the (a, b) basis. The
+/// bases are independent, so they fan out over the thread pool.
 void applyTwoLevel(StateVector& state, std::size_t target, Level a, Level b, Complex m00,
                    Complex m01, Complex m10, Complex m11,
                    const std::vector<Control>& controls) {
-    const auto& radix = state.radix();
-    const auto total = radix.totalDimension();
-    const auto stride = radix.strideAt(target);
-    const auto dim = radix.dimensionAt(target);
-    auto& amps = state.amplitudes();
-    // Walk indices whose target digit is `a`; the partner index differs only
-    // in the target digit (a -> b).
-    const ControlSplit split = splitControls(radix, target, a, controls);
-    if (split.neverFires) {
-        return;
-    }
+    const auto stride = state.radix().strideAt(target);
+    // Controls are tested on the index whose target digit is `a`; the
+    // partner index differs only in the target digit (a -> b).
+    const ControlLattice lattice = buildLattice(state.radix(), target, a, controls);
     const std::uint64_t offsetA = static_cast<std::uint64_t>(a) * stride;
     const std::uint64_t offsetB = static_cast<std::uint64_t>(b) * stride;
-    const std::uint64_t blockSize = stride * dim;
-    const std::uint64_t numPairs = (total / blockSize) * stride;
-    parallel::parallelFor(0, numPairs, kKernelGrain, [&](std::uint64_t chunkBegin,
-                                                         std::uint64_t chunkEnd) {
-        std::uint64_t pair = chunkBegin;
-        while (pair < chunkEnd) {
-            const std::uint64_t block = pair / stride;
-            const std::uint64_t blockBase = block * blockSize;
-            const std::uint64_t segmentEnd =
-                chunkEnd < (block + 1) * stride ? chunkEnd : (block + 1) * stride;
-            if (!satisfies(split.perBlock, blockBase)) {
-                pair = segmentEnd;
-                continue;
-            }
-            for (; pair < segmentEnd; ++pair) {
-                const std::uint64_t inner = pair - block * stride;
-                if (!satisfies(split.perInner, inner)) {
-                    continue;
-                }
-                const std::uint64_t idxA = blockBase + inner + offsetA;
-                const std::uint64_t idxB = blockBase + inner + offsetB;
-                const Complex va = amps[idxA];
-                const Complex vb = amps[idxB];
-                amps[idxA] = m00 * va + m01 * vb;
-                amps[idxB] = m10 * va + m11 * vb;
-            }
-        }
+    Complex* const data = state.amplitudes().data();
+    parallel::parallelFor(0, lattice.count, kKernelGrain, [&](std::uint64_t chunkBegin,
+                                                              std::uint64_t chunkEnd) {
+        // By-value capture: the 2x2 block then cannot alias the amplitudes,
+        // so it stays in registers instead of being reloaded per base.
+        forEachBase(lattice, chunkBegin, chunkEnd, [=](std::uint64_t base) {
+            const std::uint64_t idxA = base + offsetA;
+            const std::uint64_t idxB = base + offsetB;
+            const Complex va = data[idxA];
+            const Complex vb = data[idxB];
+            data[idxA] = m00 * va + m01 * vb;
+            data[idxB] = m10 * va + m11 * vb;
+        });
     });
 }
 
-/// Apply a full dxd single-qudit matrix (Hadamard, Shift) across the
-/// register. Each (block, inner) base owns its d-entry column, so bases fan
-/// out over the pool with a per-chunk scratch column.
+/// Apply a full dxd single-qudit matrix (Hadamard, Shift) on every base of
+/// the control lattice. Each base owns its d-entry column, so bases fan out
+/// over the pool with a per-chunk scratch column.
 void applyDense(StateVector& state, std::size_t target, const DenseMatrix& matrix,
                 const std::vector<Control>& controls) {
-    const auto& radix = state.radix();
-    const auto total = radix.totalDimension();
-    const auto stride = radix.strideAt(target);
-    const auto dim = radix.dimensionAt(target);
+    const auto stride = state.radix().strideAt(target);
+    const auto dim = state.radix().dimensionAt(target);
     auto& amps = state.amplitudes();
-    // The historical dense walk tests controls against the base index, whose
-    // target digit is 0.
-    const ControlSplit split = splitControls(radix, target, 0, controls);
-    if (split.neverFires) {
-        return;
-    }
-    const std::uint64_t blockSize = stride * dim;
-    const std::uint64_t numBases = (total / blockSize) * stride;
-    parallel::parallelFor(0, numBases, kKernelGrain, [&](std::uint64_t chunkBegin,
-                                                         std::uint64_t chunkEnd) {
+    // Controls are tested on the base index, whose target digit is 0.
+    const ControlLattice lattice = buildLattice(state.radix(), target, 0, controls);
+    parallel::parallelFor(0, lattice.count, kKernelGrain, [&](std::uint64_t chunkBegin,
+                                                              std::uint64_t chunkEnd) {
         std::vector<Complex> scratch(dim);
-        std::uint64_t item = chunkBegin;
-        while (item < chunkEnd) {
-            const std::uint64_t block = item / stride;
-            const std::uint64_t blockBase = block * blockSize;
-            const std::uint64_t segmentEnd =
-                chunkEnd < (block + 1) * stride ? chunkEnd : (block + 1) * stride;
-            if (!satisfies(split.perBlock, blockBase)) {
-                item = segmentEnd;
-                continue;
+        forEachBase(lattice, chunkBegin, chunkEnd, [&](std::uint64_t base) {
+            for (Dimension k = 0; k < dim; ++k) {
+                scratch[k] = amps[base + static_cast<std::uint64_t>(k) * stride];
             }
-            for (; item < segmentEnd; ++item) {
-                const std::uint64_t inner = item - block * stride;
-                if (!satisfies(split.perInner, inner)) {
-                    continue;
+            for (Dimension r = 0; r < dim; ++r) {
+                Complex acc{0.0, 0.0};
+                for (Dimension c = 0; c < dim; ++c) {
+                    acc += matrix(r, c) * scratch[c];
                 }
-                const std::uint64_t base = blockBase + inner;
-                for (Dimension k = 0; k < dim; ++k) {
-                    scratch[k] = amps[base + static_cast<std::uint64_t>(k) * stride];
-                }
-                for (Dimension r = 0; r < dim; ++r) {
-                    Complex acc{0.0, 0.0};
-                    for (Dimension c = 0; c < dim; ++c) {
-                        acc += matrix(r, c) * scratch[c];
-                    }
-                    amps[base + static_cast<std::uint64_t>(r) * stride] = acc;
-                }
+                amps[base + static_cast<std::uint64_t>(r) * stride] = acc;
             }
-        }
+        });
     });
 }
 
@@ -215,10 +207,9 @@ void Simulator::apply(StateVector& state, const Operation& op) {
     detail::throwInternal("Simulator::apply: unknown gate kind");
 }
 
-StateVector Simulator::run(const Circuit& circuit, const StateVector& initial) {
-    requireThat(circuit.radix() == initial.radix(),
+StateVector Simulator::run(const Circuit& circuit, StateVector state) {
+    requireThat(circuit.radix() == state.radix(),
                 "Simulator::run: circuit and state registers differ");
-    StateVector state = initial;
     // Gates are sequential (each reads the previous one's output); the
     // parallelism lives inside each application's amplitude walk.
     for (const auto& op : circuit.operations()) {

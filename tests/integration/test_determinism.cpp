@@ -196,84 +196,186 @@ TEST(ThreadDeterminism, SynthesisQasmByteIdenticalAcrossThreadCounts) {
     }
 }
 
-/// Controlled-gate-heavy circuits exercise the hoisted (block, inner)
-/// control checks; the digit-check decomposition must agree with the
-/// generic per-index digitAt walk for every control placement.
-TEST(ThreadDeterminism, HoistedControlChecksMatchDigitWalk) {
-    const Dimensions dims{3, 2, 4, 2};
-    const MixedRadix radix(dims);
-    Rng rng(777);
-    StateVector state = states::random(dims, rng);
-    // Controls on a more-significant site, a less-significant site, and
-    // both; targets at the register edges and middle.
-    const std::vector<Operation> ops = {
-        Operation::givens(1, 0, 1, 0.7, 0.3, {{0, 2}}),
-        Operation::givens(1, 0, 1, 0.7, 0.3, {{2, 3}}),
-        Operation::givens(2, 1, 3, 1.2, -0.4, {{0, 1}, {3, 1}}),
-        Operation::hadamard(0, {{2, 2}, {1, 1}}),
-        Operation::shift(3, 1, {{0, 0}, {2, 0}}),
-        Operation::phase(2, 0, 2, -0.9, {{1, 1}}),
+/// Reference semantics of Simulator::apply, one flat index at a time through
+/// MixedRadix::digitAt — it shares no code with the kernel's control
+/// lattice. A two-level gate tests its controls on the index whose target
+/// digit is levelA; a Hadamard/Shift tests them on the base (target digit 0).
+StateVector applyByDigitWalk(const StateVector& in, const Operation& op) {
+    const MixedRadix& radix = in.radix();
+    const Dimension dim = radix.dimensionAt(op.target);
+    const DenseMatrix local = op.localMatrix(dim);
+    const std::uint64_t stride = radix.strideAt(op.target);
+    const bool twoLevel = op.kind != GateKind::Hadamard && op.kind != GateKind::Shift;
+    std::vector<Complex> next(in.amplitudes());
+    for (std::uint64_t base = 0; base < radix.totalDimension(); ++base) {
+        if (radix.digitAt(base, op.target) != 0) {
+            continue;
+        }
+        const std::uint64_t probe =
+            twoLevel ? base + static_cast<std::uint64_t>(op.levelA) * stride : base;
+        const bool satisfied =
+            std::all_of(op.controls.begin(), op.controls.end(), [&](const Control& ctrl) {
+                return radix.digitAt(probe, ctrl.qudit) == ctrl.level;
+            });
+        if (!satisfied) {
+            continue;
+        }
+        if (twoLevel) {
+            const std::uint64_t idxA = base + static_cast<std::uint64_t>(op.levelA) * stride;
+            const std::uint64_t idxB = base + static_cast<std::uint64_t>(op.levelB) * stride;
+            const Complex va = in[idxA];
+            const Complex vb = in[idxB];
+            next[idxA] = local(op.levelA, op.levelA) * va + local(op.levelA, op.levelB) * vb;
+            next[idxB] = local(op.levelB, op.levelA) * va + local(op.levelB, op.levelB) * vb;
+            continue;
+        }
+        for (Dimension r = 0; r < dim; ++r) {
+            Complex acc{0.0, 0.0};
+            for (Dimension c = 0; c < dim; ++c) {
+                acc += local(r, c) * in[base + static_cast<std::uint64_t>(c) * stride];
+            }
+            next[base + static_cast<std::uint64_t>(r) * stride] = acc;
+        }
+    }
+    return StateVector(in.dimensions(), std::move(next));
+}
+
+/// Every control placement the kernel resolves differently.
+enum class ControlShape {
+    None,
+    Above,
+    Below,
+    BothSides,
+    EveryOtherQudit,
+    DuplicateSameLevel,
+    Conflicting,
+    OutOfRangeLevel,
+    OnTargetWalkedLevel,
+    OnTargetOtherLevel,
+};
+constexpr int kNumShapes = 10;
+
+/// A seeded random gate of `kind` on `target` with controls of `shape`.
+Operation randomGate(const MixedRadix& radix, std::size_t target, int kind, ControlShape shape,
+                     Rng& rng) {
+    const std::size_t n = radix.numQudits();
+    const Dimension dim = radix.dimensionAt(target);
+    auto randomLevel = [&](std::size_t site) {
+        return static_cast<Level>(rng.uniformIndex(radix.dimensionAt(site)));
     };
-    StateVector expected = state;
-    for (const auto& op : ops) {
-        // Reference: the pre-hoist semantics, computed directly.
-        const Dimension dim = radix.dimensionAt(op.target);
-        const DenseMatrix local = op.localMatrix(dim);
-        std::vector<Complex> next(expected.amplitudes().begin(), expected.amplitudes().end());
-        const std::uint64_t stride = radix.strideAt(op.target);
-        for (std::uint64_t base = 0; base < radix.totalDimension(); ++base) {
-            if (radix.digitAt(base, op.target) != 0) {
-                continue;
-            }
-            bool satisfied = true;
-            for (const auto& ctrl : op.controls) {
-                if (radix.digitAt(base, ctrl.qudit) != ctrl.level) {
-                    satisfied = false;
-                    break;
-                }
-            }
-            if (op.kind == GateKind::GivensRotation || op.kind == GateKind::PhaseRotation ||
-                op.kind == GateKind::LevelSwap) {
-                // Two-level walk checks the controls on the index whose
-                // target digit is levelA.
-                const std::uint64_t idxA =
-                    base + static_cast<std::uint64_t>(op.levelA) * stride;
-                satisfied = true;
-                for (const auto& ctrl : op.controls) {
-                    if (radix.digitAt(idxA, ctrl.qudit) != ctrl.level) {
-                        satisfied = false;
-                        break;
-                    }
-                }
-                if (!satisfied) {
-                    continue;
-                }
-                const std::uint64_t idxB =
-                    base + static_cast<std::uint64_t>(op.levelB) * stride;
-                const Complex va = expected[idxA];
-                const Complex vb = expected[idxB];
-                next[idxA] = local(op.levelA, op.levelA) * va + local(op.levelA, op.levelB) * vb;
-                next[idxB] = local(op.levelB, op.levelA) * va + local(op.levelB, op.levelB) * vb;
-            } else {
-                if (!satisfied) {
-                    continue;
-                }
-                for (Dimension r = 0; r < dim; ++r) {
-                    Complex acc{0.0, 0.0};
-                    for (Dimension c = 0; c < dim; ++c) {
-                        acc += local(r, c) *
-                               expected[base + static_cast<std::uint64_t>(c) * stride];
-                    }
-                    next[base + static_cast<std::uint64_t>(r) * stride] = acc;
-                }
+    const Level levelA = randomLevel(target);
+    const Level levelB = static_cast<Level>((levelA + 1 + rng.uniformIndex(dim - 1)) % dim);
+    const bool twoLevel = kind < 3;
+    const Level walked = twoLevel ? levelA : 0;
+
+    std::vector<Control> controls;
+    const std::size_t other = (target + 1 + rng.uniformIndex(n - 1)) % n; // any non-target site
+    switch (shape) {
+    case ControlShape::None:
+        break;
+    case ControlShape::Above:
+    case ControlShape::Below:
+    case ControlShape::BothSides: {
+        const bool above = target > 0 && shape != ControlShape::Below;
+        const bool below = target + 1 < n && shape != ControlShape::Above;
+        if (above) {
+            const std::size_t site = rng.uniformIndex(target);
+            controls.push_back({site, randomLevel(site)});
+        }
+        if (below) {
+            const std::size_t site = target + 1 + rng.uniformIndex(n - target - 1);
+            controls.push_back({site, randomLevel(site)});
+        }
+        break;
+    }
+    case ControlShape::EveryOtherQudit:
+        for (std::size_t site = 0; site < n; ++site) {
+            if (site != target) {
+                controls.push_back({site, randomLevel(site)});
             }
         }
-        expected = StateVector(dims, std::move(next));
+        break;
+    case ControlShape::DuplicateSameLevel: {
+        const Level level = randomLevel(other);
+        controls = {{other, level}, {other, level}};
+        break;
+    }
+    case ControlShape::Conflicting: {
+        const Level level = randomLevel(other);
+        const Level otherLevel =
+            static_cast<Level>((level + 1) % radix.dimensionAt(other));
+        controls = {{other, level}, {other, otherLevel}};
+        break;
+    }
+    case ControlShape::OutOfRangeLevel:
+        controls = {{other, static_cast<Level>(radix.dimensionAt(other) + rng.uniformIndex(3))}};
+        break;
+    case ControlShape::OnTargetWalkedLevel:
+        controls = {{target, walked}, {other, randomLevel(other)}};
+        break;
+    case ControlShape::OnTargetOtherLevel:
+        controls = {{target, static_cast<Level>((walked + 1) % dim)}};
+        break;
+    }
+    std::shuffle(controls.begin(), controls.end(), rng.engine());
 
-        Simulator::apply(state, op);
-        for (std::uint64_t i = 0; i < state.size(); ++i) {
-            ASSERT_NEAR(state[i].real(), expected[i].real(), 1e-12) << op.toString();
-            ASSERT_NEAR(state[i].imag(), expected[i].imag(), 1e-12) << op.toString();
+    const double theta = rng.uniform(-3.0, 3.0);
+    switch (kind) {
+    case 0:
+        return Operation::givens(target, levelA, levelB, theta, rng.uniform(-3.0, 3.0),
+                                 controls);
+    case 1:
+        return Operation::phase(target, levelA, levelB, theta, controls);
+    case 2:
+        return Operation::levelSwap(target, levelA, levelB, controls);
+    case 3:
+        return Operation::hadamard(target, controls);
+    default:
+        return Operation::shift(target, static_cast<Level>(1 + rng.uniformIndex(dim - 1)),
+                                controls);
+    }
+}
+
+/// The control-lattice kernel must reproduce the digit-walk reference bit
+/// for bit — on random mixed-dimensional registers, for every target, every
+/// control placement and all five gate kinds — at width 1 and at width 4.
+/// The fixed first register is wide enough that uncontrolled gates fan out
+/// over several chunks at width 4.
+TEST(ThreadDeterminism, ControlLatticeMatchesDigitWalkOracle) {
+    Rng rng(777);
+    std::vector<Dimensions> registers = {{7, 6, 7, 5, 6, 4}};
+    for (int trial = 0; trial < 12; ++trial) {
+        Dimensions dims(2 + rng.uniformIndex(5));
+        for (auto& dim : dims) {
+            dim = static_cast<Dimension>(2 + rng.uniformIndex(6));
+        }
+        registers.push_back(dims);
+    }
+    for (const auto& dims : registers) {
+        const MixedRadix radix(dims);
+        StateVector expected = states::random(dims, rng);
+        StateVector serial = expected;
+        StateVector wide = expected;
+        for (std::size_t target = 0; target < dims.size(); ++target) {
+            for (int shape = 0; shape < kNumShapes; ++shape) {
+                // On the six-qudit register every shape meets all five kinds.
+                const int kind = static_cast<int>((target + static_cast<std::size_t>(shape)) % 5);
+                const Operation op =
+                    randomGate(radix, target, kind, static_cast<ControlShape>(shape), rng);
+                expected = applyByDigitWalk(expected, op);
+                {
+                    const ScopedThreads one(1);
+                    Simulator::apply(serial, op);
+                }
+                {
+                    const ScopedThreads four(4);
+                    Simulator::apply(wide, op);
+                }
+                ASSERT_TRUE(serial.amplitudes() == expected.amplitudes())
+                    << formatDimensionSpec(dims) << ' ' << op.toString();
+                ASSERT_TRUE(wide.amplitudes() == expected.amplitudes())
+                    << formatDimensionSpec(dims) << ' ' << op.toString();
+            }
         }
     }
 }

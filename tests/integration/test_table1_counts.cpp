@@ -37,6 +37,11 @@ struct Table1Row {
     std::uint64_t nodesApprox; // "Nodes" (approximated column)
 };
 
+// Without this, gtest prints a row as a raw byte dump that includes the heap
+// address of `name`, so the discovered test names change on every run. The
+// row name is already the test-name suffix; the register is what's left.
+void PrintTo(const Table1Row& row, std::ostream* os) { *os << formatDimensionSpec(row.dims); }
+
 StateVector makeState(const std::string& name, const Dimensions& dims) {
     if (name.find("GHZ") != std::string::npos) {
         return states::ghz(dims);

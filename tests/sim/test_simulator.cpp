@@ -193,6 +193,28 @@ TEST(Simulator, RunRejectsMismatchedRegisters) {
     EXPECT_THROW((void)Simulator::run(circuit, state), InvalidArgumentError);
 }
 
+TEST(Simulator, OutOfRangeControlQuditThrowsAfterNeverFiringControl) {
+    // Each list first holds a control that rules the gate out (out-of-range
+    // level, conflicting levels, target-site level mismatch) and then one on
+    // a qudit the register does not have: the bad qudit must still throw, and
+    // the state must be left as it was.
+    const Dimensions dims{3, 2, 4};
+    const std::vector<std::vector<Control>> controlLists = {
+        {{1, 5}, {3, 0}},
+        {{0, 1}, {0, 2}, {7, 1}},
+        {{2, 3}, {3, 1}},
+    };
+    for (const auto& controls : controlLists) {
+        for (const Operation& op : {Operation::givens(2, 0, 1, 0.4, 0.2, controls),
+                                    Operation::shift(2, 1, controls)}) {
+            StateVector state = randomState(dims, 5);
+            const StateVector before = state;
+            EXPECT_THROW(Simulator::apply(state, op), InvalidArgumentError) << op.toString();
+            EXPECT_TRUE(state.amplitudes() == before.amplitudes()) << op.toString();
+        }
+    }
+}
+
 TEST(Simulator, PreparationFidelityOfEmptyCircuit) {
     const Circuit circuit({3, 2});
     const StateVector zero({3, 2});
