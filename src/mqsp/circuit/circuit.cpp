@@ -3,6 +3,7 @@
 #include "mqsp/support/error.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace mqsp {
 
@@ -13,6 +14,13 @@ std::size_t Circuit::append(Operation op) {
     validate(op);
     ops_.push_back(std::move(op));
     return ops_.size() - 1;
+}
+
+void Circuit::assignOperations(std::vector<Operation> ops) {
+    for (const auto& op : ops) {
+        validate(op);
+    }
+    ops_ = std::move(ops);
 }
 
 void Circuit::append(const Circuit& other) {
@@ -95,6 +103,8 @@ void Circuit::validate(const Operation& op) const { validateOperation(op, radix_
 
 void validateOperation(const Operation& op, const MixedRadix& radix) {
     requireThat(op.target < radix.numQudits(), "Circuit: operation target out of range");
+    requireThat(std::isfinite(op.theta) && std::isfinite(op.phi),
+                "Circuit: rotation angles must be finite");
     const Dimension targetDim = radix.dimensionAt(op.target);
     if (op.kind == GateKind::GivensRotation || op.kind == GateKind::PhaseRotation ||
         op.kind == GateKind::LevelSwap) {

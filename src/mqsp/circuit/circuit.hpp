@@ -4,6 +4,7 @@
 #include "mqsp/support/mixed_radix.hpp"
 
 #include <cstddef>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,11 +28,12 @@ struct CircuitStats {
 class Circuit;
 
 /// Validate one operation against a register geometry — target and control
-/// sites in range, levels within each site's dimension, no control on the
-/// target, no duplicate controls. This is the check Circuit::append runs on
-/// every materialized append; streaming consumers (circuit::GateStream, the
-/// serve APPEND verb) call it directly so a gate can be admitted without a
-/// Circuit to append it to. Throws InvalidArgumentError ("Circuit: ...").
+/// sites in range, levels within each site's dimension, finite angles, no
+/// control on the target, no duplicate controls. This is the check
+/// Circuit::append runs on every materialized append; streaming consumers
+/// (circuit::GateStream, the serve APPEND verb) call it directly so a gate
+/// can be admitted without a Circuit to append it to. Throws
+/// InvalidArgumentError ("Circuit: ...").
 void validateOperation(const Operation& op, const MixedRadix& radix);
 
 /// A pull source of operations over a fixed register — the streaming
@@ -100,6 +102,12 @@ public:
     /// Append all operations of another circuit over the same register.
     void append(const Circuit& other);
 
+    /// Move the operations out, leaving the circuit empty on its register.
+    [[nodiscard]] std::vector<Operation> takeOperations() noexcept { return std::move(ops_); }
+
+    /// Replace the operations with `ops` (each validated).
+    void assignOperations(std::vector<Operation> ops);
+
     /// Operations in application order.
     [[nodiscard]] const std::vector<Operation>& operations() const noexcept { return ops_; }
     [[nodiscard]] std::size_t numOperations() const noexcept { return ops_.size(); }
@@ -117,6 +125,9 @@ public:
     std::size_t removeIdentityOperations(double tol = 1e-12);
 
 private:
+    // Appends the operations its GateStream has validated already.
+    friend Circuit parseQasm(std::istream& in);
+
     void validate(const Operation& op) const;
 
     MixedRadix radix_;

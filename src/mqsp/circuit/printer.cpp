@@ -7,6 +7,7 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 namespace mqsp {
 
@@ -48,7 +49,7 @@ const char* kindName(GateKind kind) {
     detail::throwInternal("kindName: unknown gate kind");
 }
 
-GateKind kindFromName(const std::string& name) {
+GateKind kindFromName(std::string_view name) {
     if (name == "givens") {
         return GateKind::GivensRotation;
     }
@@ -64,69 +65,99 @@ GateKind kindFromName(const std::string& name) {
     if (name == "levelswap") {
         return GateKind::LevelSwap;
     }
-    detail::throwInvalidArgument("parseCircuitJsonLines: unknown gate kind '" + name + "'");
+    detail::throwInvalidArgument("parseCircuitJsonLines: unknown gate kind '" +
+                                 std::string(name) + "'");
 }
 
 // Minimal JSON value scanners for the flat objects we emit. The emitted
 // format is fully under our control, so a full JSON parser is unnecessary;
 // these helpers still validate structure and throw on malformed input.
-std::string extractString(const std::string& line, const std::string& key) {
-    const std::string needle = "\"" + key + "\":\"";
-    const auto pos = line.find(needle);
-    requireThat(pos != std::string::npos,
-                "parseCircuitJsonLines: missing key '" + key + "' in: " + line);
-    const auto start = pos + needle.size();
+// They scan views of the line, and compose a message only to throw it.
+
+/// Position just past `"key":` in `line`, or npos.
+std::size_t valueStart(std::string_view line, std::string_view key) {
+    for (auto pos = line.find(key); pos != std::string_view::npos; pos = line.find(key, pos + 1)) {
+        const auto after = pos + key.size();
+        if (pos > 0 && line[pos - 1] == '"' && line.substr(after, 2) == "\":") {
+            return after + 2;
+        }
+    }
+    return std::string_view::npos;
+}
+
+[[noreturn]] void missingKey(std::string_view line, std::string_view key) {
+    detail::throwInvalidArgument("parseCircuitJsonLines: missing key '" + std::string(key) +
+                                 "' in: " + parse::clipForMessage(line));
+}
+
+std::string_view extractString(std::string_view line, std::string_view key) {
+    const auto pos = valueStart(line, key);
+    if (pos == std::string_view::npos || pos >= line.size() || line[pos] != '"') {
+        missingKey(line, key);
+    }
+    const auto start = pos + 1;
     const auto end = line.find('"', start);
-    requireThat(end != std::string::npos, "parseCircuitJsonLines: unterminated string value");
+    requireThat(end != std::string_view::npos, "parseCircuitJsonLines: unterminated string value");
     return line.substr(start, end - start);
 }
 
-double extractNumber(const std::string& line, const std::string& key) {
-    const std::string needle = "\"" + key + "\":";
-    const auto pos = line.find(needle);
-    requireThat(pos != std::string::npos, "parseCircuitJsonLines: missing key '" + key +
-                                              "' in: " + parse::clipForMessage(line));
-    const auto start = pos + needle.size();
+double extractNumber(std::string_view line, std::string_view key) {
+    const auto start = valueStart(line, key);
+    if (start == std::string_view::npos) {
+        missingKey(line, key);
+    }
     auto end = line.find_first_of(",}]", start);
-    if (end == std::string::npos) {
+    if (end == std::string_view::npos) {
         end = line.size();
     }
-    return parse::real(line.substr(start, end - start),
-                       "parseCircuitJsonLines: value for key '" + key +
-                           "' in: " + parse::clipForMessage(line));
+    const auto text = line.substr(start, end - start);
+    const auto value = parse::tryDouble(text);
+    if (!value.has_value()) {
+        detail::throwInvalidArgument("parseCircuitJsonLines: value for key '" + std::string(key) +
+                                     "' in: " + parse::clipForMessage(line) +
+                                     " expects a number, got '" + parse::clipForMessage(text) +
+                                     "'");
+    }
+    return *value;
 }
 
-std::vector<Control> extractControls(const std::string& line) {
+std::vector<Control> extractControls(std::string_view line) {
     std::vector<Control> controls;
-    const std::string needle = "\"controls\":[";
-    const auto pos = line.find(needle);
-    requireThat(pos != std::string::npos, "parseCircuitJsonLines: missing controls array in: " +
-                                              parse::clipForMessage(line));
-    auto cursor = pos + needle.size();
+    const auto pos = valueStart(line, "controls");
+    if (pos == std::string_view::npos || pos >= line.size() || line[pos] != '[') {
+        detail::throwInvalidArgument("parseCircuitJsonLines: missing controls array in: " +
+                                     parse::clipForMessage(line));
+    }
+    auto cursor = pos + 1;
     while (cursor < line.size() && line[cursor] != ']') {
         if (line[cursor] == '[') {
             const auto comma = line.find(',', cursor);
             const auto close = line.find(']', cursor);
-            requireThat(comma != std::string::npos && close != std::string::npos &&
-                            comma < close,
-                        "parseCircuitJsonLines: malformed control pair in: " +
-                            parse::clipForMessage(line));
-            Control ctrl;
-            const std::string context =
-                "parseCircuitJsonLines: control pair in: " + parse::clipForMessage(line);
-            ctrl.qudit = static_cast<std::size_t>(
-                parse::uint64(line.substr(cursor + 1, comma - cursor - 1), context));
-            ctrl.level = static_cast<Level>(
-                parse::uint64(line.substr(comma + 1, close - comma - 1), context));
-            controls.push_back(ctrl);
+            if (comma == std::string_view::npos || close == std::string_view::npos ||
+                comma >= close) {
+                detail::throwInvalidArgument("parseCircuitJsonLines: malformed control pair in: " +
+                                             parse::clipForMessage(line));
+            }
+            const auto quditText = line.substr(cursor + 1, comma - cursor - 1);
+            const auto levelText = line.substr(comma + 1, close - comma - 1);
+            const auto qudit = parse::tryUint64(quditText);
+            const auto level = parse::tryUint64(levelText);
+            if (!qudit.has_value() || !level.has_value()) {
+                detail::throwInvalidArgument(
+                    "parseCircuitJsonLines: control pair in: " + parse::clipForMessage(line) +
+                    " expects a non-negative integer, got '" +
+                    parse::clipForMessage(qudit.has_value() ? levelText : quditText) + "'");
+            }
+            controls.push_back({static_cast<std::size_t>(*qudit), static_cast<Level>(*level)});
             cursor = close + 1;
         } else {
             ++cursor;
         }
     }
-    requireThat(cursor < line.size(),
-                "parseCircuitJsonLines: unterminated controls array in: " +
-                    parse::clipForMessage(line));
+    if (cursor >= line.size()) {
+        detail::throwInvalidArgument("parseCircuitJsonLines: unterminated controls array in: " +
+                                     parse::clipForMessage(line));
+    }
     return controls;
 }
 
@@ -162,7 +193,7 @@ Circuit parseCircuitJsonLines(std::istream& in) {
     std::string header;
     requireThat(static_cast<bool>(std::getline(in, header)),
                 "parseCircuitJsonLines: missing header line");
-    const std::string name = extractString(header, "name");
+    const std::string name(extractString(header, "name"));
     Dimensions dims;
     const std::string needle = "\"dims\":[";
     const auto pos = header.find(needle);
@@ -170,12 +201,19 @@ Circuit parseCircuitJsonLines(std::istream& in) {
     auto cursor = pos + needle.size();
     while (cursor < header.size() && header[cursor] != ']') {
         const auto end = header.find_first_of(",]", cursor);
-        requireThat(end != std::string::npos, "parseCircuitJsonLines: unterminated dims in: " +
-                                                  parse::clipForMessage(header));
-        dims.push_back(static_cast<Dimension>(
-            parse::uint64(header.substr(cursor, end - cursor),
-                          "parseCircuitJsonLines: dims entry in: " +
-                              parse::clipForMessage(header))));
+        if (end == std::string::npos) {
+            detail::throwInvalidArgument("parseCircuitJsonLines: unterminated dims in: " +
+                                         parse::clipForMessage(header));
+        }
+        const auto entry = std::string_view(header).substr(cursor, end - cursor);
+        const auto dim = parse::tryUint64(entry);
+        if (!dim.has_value()) {
+            detail::throwInvalidArgument("parseCircuitJsonLines: dims entry in: " +
+                                         parse::clipForMessage(header) +
+                                         " expects a non-negative integer, got '" +
+                                         parse::clipForMessage(entry) + "'");
+        }
+        dims.push_back(static_cast<Dimension>(*dim));
         cursor = end;
         if (header[cursor] == ',') {
             ++cursor;

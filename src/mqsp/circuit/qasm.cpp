@@ -4,81 +4,176 @@
 #include "mqsp/support/parse.hpp"
 
 #include <cctype>
-#include <iomanip>
+#include <charconv>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 namespace mqsp {
 
-void emitQasm(std::ostream& out, const Circuit& circuit) {
-    out << "MQSPQASM 1.0;\n";
-    out << "// " << circuit.name() << "\n";
-    out << "qreg q[" << circuit.numQudits() << "] = [";
+namespace {
+
+/// Append a decimal integer.
+void appendInteger(std::string& out, std::uint64_t value) {
+    char buffer[24];
+    const auto result = std::to_chars(std::begin(buffer), std::end(buffer), value);
+    out.append(buffer, result.ptr);
+}
+
+/// Append an angle with 17 significant digits — byte-identical to an
+/// ostream at setprecision(17) (printf "%.17g"), and exact on read-back.
+void appendAngle(std::string& out, double value) {
+    char buffer[32];
+    const auto result = std::to_chars(std::begin(buffer), std::end(buffer), value,
+                                      std::chars_format::general, 17);
+    out.append(buffer, result.ptr);
+}
+
+void appendSite(std::string& out, std::size_t site) {
+    out += "q[";
+    appendInteger(out, site);
+    out += ']';
+}
+
+/// The header, comment and qreg lines.
+void appendPreamble(std::string& out, const Circuit& circuit) {
+    out += "MQSPQASM 1.0;\n// ";
+    out += circuit.name();
+    out += "\nqreg q[";
+    appendInteger(out, circuit.numQudits());
+    out += "] = [";
     const auto& dims = circuit.dimensions();
     for (std::size_t i = 0; i < dims.size(); ++i) {
         if (i > 0) {
-            out << ", ";
+            out += ", ";
         }
-        out << dims[i];
+        appendInteger(out, dims[i]);
     }
-    out << "];\n";
-    out << std::setprecision(17);
-    for (const auto& op : circuit.operations()) {
-        switch (op.kind) {
-        case GateKind::GivensRotation:
-            out << "rxy q[" << op.target << "] (" << op.levelA << ", " << op.levelB << ", "
-                << op.theta << ", " << op.phi << ")";
-            break;
-        case GateKind::PhaseRotation:
-            out << "rz q[" << op.target << "] (" << op.levelA << ", " << op.levelB << ", "
-                << op.theta << ")";
-            break;
-        case GateKind::Hadamard:
-            out << "h q[" << op.target << "]";
-            break;
-        case GateKind::Shift:
-            out << "x q[" << op.target << "] (+" << op.shiftAmount << ")";
-            break;
-        case GateKind::LevelSwap:
-            out << "swp q[" << op.target << "] (" << op.levelA << ", " << op.levelB << ")";
-            break;
-        }
-        if (!op.controls.empty()) {
-            out << " ctl ";
-            for (std::size_t i = 0; i < op.controls.size(); ++i) {
-                if (i > 0) {
-                    out << ", ";
-                }
-                out << "q[" << op.controls[i].qudit << "]=" << op.controls[i].level;
+    out += "];\n";
+}
+
+/// " (<levelA>, <levelB>" — the opening of a two-level gate's parameters.
+void appendLevels(std::string& out, const Operation& op) {
+    out += " (";
+    appendInteger(out, op.levelA);
+    out += ", ";
+    appendInteger(out, op.levelB);
+}
+
+/// One gate statement line.
+void appendStatement(std::string& out, const Operation& op) {
+    switch (op.kind) {
+    case GateKind::GivensRotation:
+        out += "rxy ";
+        appendSite(out, op.target);
+        appendLevels(out, op);
+        out += ", ";
+        appendAngle(out, op.theta);
+        out += ", ";
+        appendAngle(out, op.phi);
+        out += ')';
+        break;
+    case GateKind::PhaseRotation:
+        out += "rz ";
+        appendSite(out, op.target);
+        appendLevels(out, op);
+        out += ", ";
+        appendAngle(out, op.theta);
+        out += ')';
+        break;
+    case GateKind::Hadamard:
+        out += "h ";
+        appendSite(out, op.target);
+        break;
+    case GateKind::Shift:
+        out += "x ";
+        appendSite(out, op.target);
+        out += " (+";
+        appendInteger(out, op.shiftAmount);
+        out += ')';
+        break;
+    case GateKind::LevelSwap:
+        out += "swp ";
+        appendSite(out, op.target);
+        appendLevels(out, op);
+        out += ')';
+        break;
+    }
+    if (!op.controls.empty()) {
+        out += " ctl ";
+        for (std::size_t i = 0; i < op.controls.size(); ++i) {
+            if (i > 0) {
+                out += ", ";
             }
+            appendSite(out, op.controls[i].qudit);
+            out += '=';
+            appendInteger(out, op.controls[i].level);
         }
-        out << ";\n";
     }
+    out += ";\n";
+}
+
+/// emitQasm hands its text to the stream in chunks of about this size.
+constexpr std::size_t kEmitChunkBytes = std::size_t{1} << 16;
+
+} // namespace
+
+void emitQasm(std::ostream& out, const Circuit& circuit) {
+    std::string chunk;
+    chunk.reserve(kEmitChunkBytes + 256);
+    appendPreamble(chunk, circuit);
+    for (const auto& op : circuit.operations()) {
+        appendStatement(chunk, op);
+        if (chunk.size() >= kEmitChunkBytes) {
+            out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+            chunk.clear();
+        }
+    }
+    out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
 }
 
 std::string toQasm(const Circuit& circuit) {
-    std::ostringstream out;
-    emitQasm(out, circuit);
-    return out.str();
+    std::string text;
+    appendPreamble(text, circuit);
+    for (const auto& op : circuit.operations()) {
+        appendStatement(text, op);
+    }
+    return text;
 }
 
 namespace {
 
-/// Strip a trailing `//` comment and surrounding whitespace; empty result
-/// means the line carries no statement.
-[[nodiscard]] std::string stripLine(std::string raw) {
-    const auto comment = raw.find("//");
-    if (comment != std::string::npos) {
-        raw.erase(comment);
-    }
+/// Strip a trailing `//` comment and surrounding whitespace; an empty
+/// result means the line carries no statement.
+[[nodiscard]] std::string_view stripLine(std::string_view raw) {
+    raw = raw.substr(0, raw.find("//"));
     const auto begin = raw.find_first_not_of(" \t\r");
-    if (begin == std::string::npos) {
+    if (begin == std::string_view::npos) {
         return {};
     }
     const auto end = raw.find_last_not_of(" \t\r");
     return raw.substr(begin, end - begin + 1);
+}
+
+[[nodiscard]] bool isSpace(char ch) {
+    return std::isspace(static_cast<unsigned char>(ch)) != 0;
+}
+
+[[nodiscard]] bool isDigit(char ch) {
+    return std::isdigit(static_cast<unsigned char>(ch)) != 0;
+}
+
+[[nodiscard]] bool isWordChar(char ch) {
+    return std::isalnum(static_cast<unsigned char>(ch)) != 0 || ch == '.' || ch == '_';
+}
+
+/// Characters a number token may span; the token must parse whole.
+[[nodiscard]] bool isNumberChar(char ch) {
+    return std::isalnum(static_cast<unsigned char>(ch)) != 0 || ch == '.' || ch == '+' ||
+           ch == '-';
 }
 
 /// Recursive-descent scanner over ONE stripped dialect line. Both the
@@ -86,23 +181,23 @@ namespace {
 /// line number is carried only for the "parseQasm: line N: ..." messages.
 class LineParser {
 public:
-    LineParser(const std::string& line, std::size_t lineNumber)
-        : line_(&line), lineNumber_(lineNumber) {}
+    LineParser(std::string_view line, std::size_t lineNumber)
+        : line_(line), lineNumber_(lineNumber) {}
 
-    [[noreturn]] void fail(const std::string& message) const {
-        detail::throwInvalidArgument("parseQasm: line " + std::to_string(lineNumber_) +
-                                     ": " + message);
+    [[noreturn]] void fail(std::string_view message) const {
+        detail::throwInvalidArgument("parseQasm: line " + std::to_string(lineNumber_) + ": " +
+                                     std::string(message));
     }
 
     /// "MQSPQASM 1.0;" — the whole header line.
     void header() {
-        const std::string keyword = word();
+        const std::string_view keyword = word();
         if (keyword != "MQSPQASM") {
-            fail("expected MQSPQASM header, got '" + keyword + "'");
+            fail("expected MQSPQASM header, got '" + std::string(keyword) + "'");
         }
-        const std::string version = word();
+        const std::string_view version = word();
         if (version != "1.0") {
-            fail("unsupported version '" + version + "'");
+            fail("unsupported version '" + std::string(version) + "'");
         }
         expect(';', "header");
     }
@@ -134,8 +229,10 @@ public:
     /// One whole gate statement through the terminating ';'. The returned
     /// operation is syntax-only — the caller validates it against the
     /// register (and re-raises through fail for the line-numbered message).
-    [[nodiscard]] Operation gateStatement() {
-        const std::string gate = word();
+    /// `controls` is scratch space reused across statements, so the
+    /// returned operation's control list is allocated once, at its size.
+    [[nodiscard]] Operation gateStatement(std::vector<Control>& controls) {
+        const std::string_view gate = word();
         if (gate.empty()) {
             fail("expected a gate name");
         }
@@ -178,17 +275,23 @@ public:
             expect(')', "swap levels");
             op = Operation::levelSwap(target, a, b);
         } else {
-            fail("unknown gate '" + gate + "'");
+            fail("unknown gate '" + std::string(gate) + "'");
         }
 
         skipSpace();
-        if (line_->compare(cursor_, 3, "ctl") == 0) {
+        if (line_.substr(cursor_, 3) == "ctl") {
             cursor_ += 3;
-            op.controls = parseControls();
+            controls.clear();
+            do {
+                const std::size_t qudit = site();
+                expect('=', "control level");
+                controls.push_back({qudit, static_cast<Level>(integer())});
+            } while (consume(','));
+            op.controls.assign(controls.begin(), controls.end());
         }
         expect(';', "statement");
         skipSpace();
-        if (cursor_ != line_->size()) {
+        if (cursor_ != line_.size()) {
             fail("trailing characters after ';'");
         }
         return op;
@@ -196,15 +299,14 @@ public:
 
 private:
     void skipSpace() {
-        while (cursor_ < line_->size() &&
-               std::isspace(static_cast<unsigned char>((*line_)[cursor_])) != 0) {
+        while (cursor_ < line_.size() && isSpace(line_[cursor_])) {
             ++cursor_;
         }
     }
 
     bool consume(char ch) {
         skipSpace();
-        if (cursor_ < line_->size() && (*line_)[cursor_] == ch) {
+        if (cursor_ < line_.size() && line_[cursor_] == ch) {
             ++cursor_;
             return true;
         }
@@ -217,28 +319,27 @@ private:
         }
     }
 
-    std::string word() {
-        skipSpace();
-        std::size_t start = cursor_;
-        while (cursor_ < line_->size() &&
-               (std::isalnum(static_cast<unsigned char>((*line_)[cursor_])) != 0 ||
-                (*line_)[cursor_] == '.' || (*line_)[cursor_] == '_')) {
+    /// The maximal run from the cursor of characters matching `accept`.
+    template <typename Accept>
+    std::string_view run(Accept accept) {
+        const std::size_t start = cursor_;
+        while (cursor_ < line_.size() && accept(line_[cursor_])) {
             ++cursor_;
         }
-        return line_->substr(start, cursor_ - start);
+        return line_.substr(start, cursor_ - start);
+    }
+
+    std::string_view word() {
+        skipSpace();
+        return run(isWordChar);
     }
 
     std::uint64_t integer() {
         skipSpace();
-        std::size_t start = cursor_;
-        while (cursor_ < line_->size() &&
-               std::isdigit(static_cast<unsigned char>((*line_)[cursor_])) != 0) {
-            ++cursor_;
-        }
-        if (start == cursor_) {
+        const std::string_view digits = run(isDigit);
+        if (digits.empty()) {
             fail("expected an integer");
         }
-        const std::string digits = line_->substr(start, cursor_ - start);
         const auto value = parse::tryUint64(digits);
         if (!value.has_value()) {
             // Digits-only text can only miss by overflowing 64 bits.
@@ -247,23 +348,29 @@ private:
         return *value;
     }
 
+    /// A decimal number with an optional leading '-' or '+', parsed whole:
+    /// hex floats, values past the double range and trailing junk fail.
+    /// Non-finite spellings (inf, nan) parse here; validateOperation
+    /// refuses them as angles.
     double number() {
         skipSpace();
-        std::size_t consumed = 0;
+        std::string_view token = run(isNumberChar);
+        if (token.size() > 1 && token.front() == '+' && token[1] != '-') {
+            token.remove_prefix(1); // from_chars takes no '+'
+        }
         double value = 0.0;
-        try {
-            value = std::stod(line_->substr(cursor_), &consumed);
-        } catch (const std::exception&) {
+        const char* last = token.data() + token.size();
+        const auto [ptr, ec] = std::from_chars(token.data(), last, value);
+        if (token.empty() || ec != std::errc{} || ptr != last) {
             fail("expected a number");
         }
-        cursor_ += consumed;
         return value;
     }
 
     /// "q[<index>]" -> index.
     std::size_t site() {
         skipSpace();
-        if (cursor_ >= line_->size() || (*line_)[cursor_] != 'q') {
+        if (cursor_ >= line_.size() || line_[cursor_] != 'q') {
             fail("expected a qudit reference q[i]");
         }
         ++cursor_;
@@ -273,31 +380,17 @@ private:
         return index;
     }
 
-    std::vector<Control> parseControls() {
-        std::vector<Control> controls;
-        while (true) {
-            const std::size_t qudit = site();
-            expect('=', "control level");
-            const auto level = static_cast<Level>(integer());
-            controls.push_back({qudit, level});
-            if (!consume(',')) {
-                break;
-            }
-        }
-        return controls;
-    }
-
-    const std::string* line_;
+    std::string_view line_;
     std::size_t cursor_ = 0;
     std::size_t lineNumber_;
 };
 
 /// Parse + register-validate one stripped statement line, re-raising any
 /// admissibility error with the line-numbered prefix.
-[[nodiscard]] Operation statementOn(const std::string& line, std::size_t lineNumber,
-                                    const MixedRadix& radix) {
+[[nodiscard]] Operation statementOn(std::string_view line, std::size_t lineNumber,
+                                    const MixedRadix& radix, std::vector<Control>& controls) {
     LineParser parser(line, lineNumber);
-    Operation op = parser.gateStatement();
+    Operation op = parser.gateStatement(controls);
     try {
         validateOperation(op, radix);
     } catch (const InvalidArgumentError& error) {
@@ -309,40 +402,40 @@ private:
 } // namespace
 
 GateStream::GateStream(std::istream& in) : in_(&in) {
-    if (!nextMeaningfulLine()) {
-        LineParser(line_, lineNumber_).fail("missing MQSPQASM header");
+    const std::string_view header = nextStatement();
+    if (header.empty()) {
+        LineParser(header, lineNumber_).fail("missing MQSPQASM header");
     }
-    LineParser(line_, lineNumber_).header();
-    if (!nextMeaningfulLine()) {
-        LineParser(line_, lineNumber_).fail("missing qreg declaration");
+    LineParser(header, lineNumber_).header();
+    const std::string_view qreg = nextStatement();
+    if (qreg.empty()) {
+        LineParser(qreg, lineNumber_).fail("missing qreg declaration");
     }
-    LineParser qregParser(line_, lineNumber_);
+    LineParser qregParser(qreg, lineNumber_);
     radix_ = MixedRadix(qregParser.qreg());
 }
 
-bool GateStream::nextMeaningfulLine() {
-    std::string raw;
-    while (std::getline(*in_, raw)) {
+std::string_view GateStream::nextStatement() {
+    while (std::getline(*in_, line_)) {
         ++lineNumber_;
-        std::string stripped = stripLine(std::move(raw));
-        if (stripped.empty()) {
-            continue;
+        const std::string_view statement = stripLine(line_);
+        if (!statement.empty()) {
+            return statement;
         }
-        line_ = std::move(stripped);
-        return true;
     }
-    return false;
+    return {};
 }
 
 std::optional<Operation> GateStream::next() {
     if (eof_) {
         return std::nullopt;
     }
-    if (!nextMeaningfulLine()) {
+    const std::string_view statement = nextStatement();
+    if (statement.empty()) {
         eof_ = true;
         return std::nullopt;
     }
-    Operation op = statementOn(line_, lineNumber_, radix_);
+    Operation op = statementOn(statement, lineNumber_, radix_, controls_);
     ++opsRead_;
     return op;
 }
@@ -350,8 +443,9 @@ std::optional<Operation> GateStream::next() {
 Circuit parseQasm(std::istream& in) {
     GateStream stream(in);
     Circuit circuit(stream.dimensions(), "parsed");
+    // GateStream validated every operation against this register already.
     while (auto op = stream.next()) {
-        circuit.append(std::move(*op));
+        circuit.ops_.push_back(std::move(*op));
     }
     return circuit;
 }
@@ -363,11 +457,12 @@ Circuit parseQasmString(const std::string& text) {
 
 Operation parseQasmStatement(const std::string& text, const MixedRadix& radix,
                              std::size_t lineNumber) {
-    const std::string stripped = stripLine(text);
+    const std::string_view stripped = stripLine(text);
     if (stripped.empty()) {
         LineParser(stripped, lineNumber).fail("expected a gate name");
     }
-    return statementOn(stripped, lineNumber, radix);
+    std::vector<Control> controls;
+    return statementOn(stripped, lineNumber, radix, controls);
 }
 
 } // namespace mqsp

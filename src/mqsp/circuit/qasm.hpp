@@ -6,6 +6,8 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace mqsp {
 
@@ -68,12 +70,15 @@ public:
     [[nodiscard]] std::size_t lineNumber() const noexcept { return lineNumber_; }
 
 private:
-    /// Load the next line that still has content after comment stripping.
-    bool nextMeaningfulLine();
+    /// Read up to the next line that still has content after comment
+    /// stripping and return that content, a view of line_ valid until the
+    /// next read; empty once the stream is exhausted.
+    std::string_view nextStatement();
 
     std::istream* in_;
     MixedRadix radix_;
-    std::string line_;
+    std::string line_;              ///< the last line read, reused
+    std::vector<Control> controls_; ///< scratch for parsing control lists
     std::size_t lineNumber_ = 0;
     std::uint64_t opsRead_ = 0;
     bool eof_ = false;

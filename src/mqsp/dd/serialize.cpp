@@ -108,8 +108,9 @@ DecisionDiagram DecisionDiagram::deserialize(std::istream& in) {
                         "DecisionDiagram::deserialize: dangling root reference");
             return dd;
         }
-        requireThat(line.rfind("node", 0) == 0,
-                    "DecisionDiagram::deserialize: unexpected line: " + line);
+        if (line.rfind("node", 0) != 0) {
+            detail::throwInvalidArgument("DecisionDiagram::deserialize: unexpected line: " + line);
+        }
         std::istringstream stream(line.substr(4));
         std::size_t ref = 0;
         std::uint32_t site = 0;

@@ -35,9 +35,11 @@ void appendNegation(Circuit& circuit, std::size_t a) {
 void appendSwap(Circuit& circuit, std::size_t a, std::size_t b) {
     const Dimension dimA = circuit.radix().dimensionAt(a);
     const Dimension dimB = circuit.radix().dimensionAt(b);
-    requireThat(dimA == dimB,
-                "appendSwap: cannot exchange qudits of different dimensionality (" +
-                    std::to_string(dimA) + " vs " + std::to_string(dimB) + ")");
+    if (dimA != dimB) {
+        detail::throwInvalidArgument(
+            "appendSwap: cannot exchange qudits of different dimensionality (" +
+            std::to_string(dimA) + " vs " + std::to_string(dimB) + ")");
+    }
     // |x,y> -> |x, x+y> -> |x-(x+y), x+y> = |-y, x+y> -> |-y, x> -> |y, x>.
     appendControlledAdd(circuit, a, b, /*inverse=*/false);
     appendControlledAdd(circuit, b, a, /*inverse=*/true);

@@ -5,30 +5,38 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <set>
 #include <vector>
 
 namespace mqsp {
 
 namespace {
 
-/// All sites an operation touches (target + controls).
-std::vector<std::size_t> sitesOf(const Operation& op) {
-    std::vector<std::size_t> sites{op.target};
-    for (const auto& ctrl : op.controls) {
-        sites.push_back(ctrl.qudit);
-    }
-    std::sort(sites.begin(), sites.end());
-    return sites;
+/// True when `site` is the target or a control of `op`.
+bool touches(const Operation& op, std::size_t site) {
+    return op.target == site ||
+           std::any_of(op.controls.begin(), op.controls.end(),
+                       [site](const Control& ctrl) { return ctrl.qudit == site; });
 }
 
+/// True when the two operations share no site (target or control). Both
+/// control lists must be sorted by qudit, as optimizeCircuit keeps them.
 bool disjointSites(const Operation& a, const Operation& b) {
-    const auto sa = sitesOf(a);
-    const auto sb = sitesOf(b);
-    std::vector<std::size_t> common;
-    std::set_intersection(sa.begin(), sa.end(), sb.begin(), sb.end(),
-                          std::back_inserter(common));
-    return common.empty();
+    if (touches(b, a.target) || touches(a, b.target)) {
+        return false;
+    }
+    auto ia = a.controls.begin();
+    auto ib = b.controls.begin();
+    while (ia != a.controls.end() && ib != b.controls.end()) {
+        if (ia->qudit == ib->qudit) {
+            return false;
+        }
+        if (ia->qudit < ib->qudit) {
+            ++ia;
+        } else {
+            ++ib;
+        }
+    }
+    return true;
 }
 
 /// Same rotation axis: merging candidates must agree in everything except
@@ -73,47 +81,84 @@ bool samePayload(const Operation& a, const Operation& b, double tol) {
     detail::throwInternal("samePayload: unknown gate kind");
 }
 
+/// The op list of one optimizer run plus its removal marks. A pass marks
+/// the ops it merges away and compacts once at its end, so a pass is one
+/// sweep however many ops it removes.
+struct OpList {
+    std::vector<Operation> ops;
+    std::vector<char> removed; ///< per op; all false between passes
+
+    /// Drop the marked ops in one sweep; returns how many were dropped.
+    std::size_t compact() {
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            if (removed[i] == 0) {
+                if (kept != i) {
+                    ops[kept] = std::move(ops[i]);
+                }
+                ++kept;
+            }
+            removed[i] = 0;
+        }
+        const std::size_t dropped = ops.size() - kept;
+        ops.resize(kept);
+        removed.resize(kept);
+        return dropped;
+    }
+};
+
 /// One pass of neighbouring-rotation merging over the op list. Returns the
 /// number of merges performed.
-std::size_t mergeRotationsPass(std::vector<Operation>& ops, double tol) {
-    std::size_t merges = 0;
+std::size_t mergeRotationsPass(OpList& list, double tol) {
+    auto& ops = list.ops;
+    auto& removed = list.removed;
     for (std::size_t i = 0; i < ops.size(); ++i) {
         Operation& current = ops[i];
-        if (current.kind != GateKind::GivensRotation &&
-            current.kind != GateKind::PhaseRotation) {
+        if (removed[i] != 0 || (current.kind != GateKind::GivensRotation &&
+                                current.kind != GateKind::PhaseRotation)) {
             continue;
         }
-        for (std::size_t j = i + 1; j < ops.size();) {
+        for (std::size_t j = i + 1; j < ops.size(); ++j) {
+            if (removed[j] != 0) {
+                continue;
+            }
             if (sameAxis(current, ops[j], tol)) {
                 current.theta += ops[j].theta;
-                ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(j));
-                ++merges;
+                removed[j] = 1;
                 continue; // the window keeps extending past the merged slot
             }
             if (!disjointSites(current, ops[j])) {
                 break;
             }
-            ++j;
         }
     }
-    return merges;
+    return list.compact();
 }
 
-std::size_t dropIdentitiesPass(std::vector<Operation>& ops, double tol) {
-    const std::size_t before = ops.size();
-    std::erase_if(ops, [tol](const Operation& op) { return op.isIdentity(tol); });
-    return before - ops.size();
+std::size_t dropIdentitiesPass(OpList& list, double tol) {
+    const std::size_t before = list.ops.size();
+    std::erase_if(list.ops, [tol](const Operation& op) { return op.isIdentity(tol); });
+    list.removed.resize(list.ops.size());
+    return before - list.ops.size();
 }
 
 /// Reverse multiplexing: ops identical up to the level of one shared control
 /// and jointly covering all of that control's levels collapse into one
 /// uncontrolled (on that qudit) op.
-std::size_t mergeControlFansPass(std::vector<Operation>& ops, const MixedRadix& radix,
-                                 double tol) {
-    std::size_t merges = 0;
+std::size_t mergeControlFansPass(OpList& list, const MixedRadix& radix, double tol) {
+    auto& ops = list.ops;
+    auto& removed = list.removed;
+    // Scratch reused across seeds: which levels of the fan qudit are
+    // covered (sized for the widest qudit), and the partner indices.
+    Dimension widest = 0;
+    for (const Dimension dim : radix.dimensions()) {
+        widest = std::max(widest, dim);
+    }
+    std::vector<char> covered(widest, 0);
+    std::vector<std::size_t> partners;
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const Operation& seed = ops[i];
-        if (seed.controls.empty()) {
+        if (removed[i] != 0 || seed.controls.empty()) {
             continue;
         }
         for (std::size_t ctrlIndex = 0; ctrlIndex < seed.controls.size(); ++ctrlIndex) {
@@ -142,14 +187,21 @@ std::size_t mergeControlFansPass(std::vector<Operation>& ops, const MixedRadix& 
                 return true;
             };
 
-            std::set<Level> covered{seed.controls[ctrlIndex].level};
-            std::vector<std::size_t> partners;
+            const Level seedLevel = seed.controls[ctrlIndex].level;
+            covered[seedLevel] = 1;
+            std::size_t numCovered = 1;
+            partners.clear();
             for (std::size_t j = i + 1; j < ops.size(); ++j) {
+                if (removed[j] != 0) {
+                    continue;
+                }
                 Level level = 0;
                 if (isCandidate(ops[j], level)) {
-                    if (covered.insert(level).second) {
+                    if (covered[level] == 0) {
+                        covered[level] = 1;
+                        ++numCovered;
                         partners.push_back(j);
-                        if (covered.size() == fanDim) {
+                        if (numCovered == fanDim) {
                             break;
                         }
                     }
@@ -159,20 +211,23 @@ std::size_t mergeControlFansPass(std::vector<Operation>& ops, const MixedRadix& 
                     break;
                 }
             }
-            if (covered.size() != fanDim) {
+            covered[seedLevel] = 0;
+            for (const std::size_t j : partners) {
+                covered[ops[j].controls[ctrlIndex].level] = 0;
+            }
+            if (numCovered != fanDim) {
                 continue;
             }
-            // Collapse: remove the fan control from the seed, delete partners.
+            // Collapse: remove the fan control from the seed, drop partners.
             ops[i].controls.erase(ops[i].controls.begin() +
                                   static_cast<std::ptrdiff_t>(ctrlIndex));
-            for (std::size_t k = partners.size(); k-- > 0;) {
-                ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(partners[k]));
+            for (const std::size_t j : partners) {
+                removed[j] = 1;
             }
-            merges += partners.size();
             break; // seed changed; restart its control scan on a later round
         }
     }
-    return merges;
+    return list.compact();
 }
 
 } // namespace
@@ -181,9 +236,10 @@ OptimizerReport optimizeCircuit(Circuit& circuit, const OptimizerOptions& option
     OptimizerReport report;
     report.opsBefore = circuit.numOperations();
 
-    std::vector<Operation> ops(circuit.operations().begin(), circuit.operations().end());
+    OpList list{circuit.takeOperations(), {}};
+    list.removed.assign(list.ops.size(), 0);
     // Control order is not semantic; canonicalize so comparisons work.
-    for (auto& op : ops) {
+    for (auto& op : list.ops) {
         std::sort(op.controls.begin(), op.controls.end());
     }
 
@@ -191,17 +247,17 @@ OptimizerReport optimizeCircuit(Circuit& circuit, const OptimizerOptions& option
     for (report.rounds = 0; report.rounds < options.maxRounds; ++report.rounds) {
         std::size_t changes = 0;
         if (options.mergeRotations) {
-            const std::size_t merged = mergeRotationsPass(ops, options.tolerance);
+            const std::size_t merged = mergeRotationsPass(list, options.tolerance);
             report.mergedRotations += merged;
             changes += merged;
         }
         if (options.mergeFullControlFans) {
-            const std::size_t merged = mergeControlFansPass(ops, radix, options.tolerance);
+            const std::size_t merged = mergeControlFansPass(list, radix, options.tolerance);
             report.mergedControlFans += merged;
             changes += merged;
         }
         if (options.dropIdentities) {
-            const std::size_t dropped = dropIdentitiesPass(ops, options.tolerance);
+            const std::size_t dropped = dropIdentitiesPass(list, options.tolerance);
             report.droppedIdentities += dropped;
             changes += dropped;
         }
@@ -210,11 +266,7 @@ OptimizerReport optimizeCircuit(Circuit& circuit, const OptimizerOptions& option
         }
     }
 
-    Circuit optimized(circuit.dimensions(), circuit.name());
-    for (auto& op : ops) {
-        optimized.append(std::move(op));
-    }
-    circuit = std::move(optimized);
+    circuit.assignOperations(std::move(list.ops));
     report.opsAfter = circuit.numOperations();
     return report;
 }

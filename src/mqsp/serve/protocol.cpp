@@ -197,14 +197,18 @@ Request parseRequest(std::string_view line) {
     const auto colon = head.find(':');
     if (colon != std::string::npos) {
         const std::string verb = head.substr(0, colon);
-        requireThat(verb == "prep", "only PREP takes a :<FAMILY> suffix, got '" +
-                                        parse::clipForMessage(tokens.front().text) + "'");
+        if (verb != "prep") {
+            detail::throwInvalidArgument("only PREP takes a :<FAMILY> suffix, got '" +
+                                         parse::clipForMessage(tokens.front().text) + "'");
+        }
         request.verb = Verb::Prep;
         request.family = head.substr(colon + 1);
         requireThat(!request.family.empty(),
                     "PREP requires a state family: PREP:<FAMILY> (e.g. PREP:GHZ)");
-        requireThat(request.family.find(':') == std::string::npos,
-                    "malformed family in '" + parse::clipForMessage(tokens.front().text) + "'");
+        if (request.family.find(':') != std::string::npos) {
+            detail::throwInvalidArgument("malformed family in '" +
+                                         parse::clipForMessage(tokens.front().text) + "'");
+        }
     } else {
         request.verb = verbFromName(head, tokens.front().text);
         requireThat(request.verb != Verb::Prep,
@@ -214,14 +218,16 @@ Request parseRequest(std::string_view line) {
     std::size_t i = 1;
     while (i < tokens.size()) {
         const std::string& token = tokens[i].text;
-        requireThat(token.rfind("--", 0) == 0 && token.size() > 2,
-                    "expected an option (--key value), got '" + parse::clipForMessage(token) +
-                        "'");
+        if (token.rfind("--", 0) != 0 || token.size() <= 2) {
+            detail::throwInvalidArgument("expected an option (--key value), got '" +
+                                         parse::clipForMessage(token) + "'");
+        }
         const std::string key = token.substr(2);
         for (const char ch : key) {
-            requireThat((std::isalnum(static_cast<unsigned char>(ch)) != 0) || ch == '-' ||
-                            ch == '_',
-                        "malformed option name '" + parse::clipForMessage(token) + "'");
+            if (std::isalnum(static_cast<unsigned char>(ch)) == 0 && ch != '-' && ch != '_') {
+                detail::throwInvalidArgument("malformed option name '" +
+                                             parse::clipForMessage(token) + "'");
+            }
         }
         if (key == "gate") {
             // Gate statements contain spaces: capture everything after the
@@ -232,8 +238,10 @@ Request parseRequest(std::string_view line) {
             request.options.emplace_back(key, value);
             break;
         }
-        requireThat(i + 1 < tokens.size(),
-                    "option '" + parse::clipForMessage(token) + "' expects a value");
+        if (i + 1 >= tokens.size()) {
+            detail::throwInvalidArgument("option '" + parse::clipForMessage(token) +
+                                         "' expects a value");
+        }
         request.options.emplace_back(key, tokens[i + 1].text);
         i += 2;
     }

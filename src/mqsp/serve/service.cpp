@@ -39,8 +39,10 @@ void rejectUnknownOptions(const Request& request,
     for (const auto& [key, value] : request.options) {
         const bool known = std::any_of(allowed.begin(), allowed.end(),
                                        [&key](std::string_view name) { return key == name; });
-        requireThat(known, std::string(verbName(request.verb)) +
-                               " does not take option --" + parse::clipForMessage(key));
+        if (!known) {
+            detail::throwInvalidArgument(std::string(verbName(request.verb)) +
+                                         " does not take option --" + parse::clipForMessage(key));
+        }
     }
 }
 
@@ -163,9 +165,10 @@ Response VerificationService::handleLine(const std::string& rawLine) {
             ns > 0 ? static_cast<std::uint64_t>(ns) : 0);
     };
     try {
-        requireThat(rawLine.size() <= limits_.maxLineLength,
-                    "line too long (" + u64(rawLine.size()) + " > " +
-                        u64(limits_.maxLineLength) + " bytes)");
+        if (rawLine.size() > limits_.maxLineLength) {
+            detail::throwInvalidArgument("line too long (" + u64(rawLine.size()) + " > " +
+                                         u64(limits_.maxLineLength) + " bytes)");
+        }
         // Parsing is pure on the line text: it runs outside any lock.
         const Request request = parseRequest(rawLine);
         verb = request.verb;
@@ -301,30 +304,37 @@ std::string VerificationService::handlePrep(const Request& request) {
 
     // Admission: per-request amplitude ceiling, then the session node
     // budget — a full pool refuses new work but keeps serving the old.
-    requireThat(radix.totalDimension() <= limits_.maxAmplitudes,
-                "admission: register has " + u64(radix.totalDimension()) +
-                    " amplitudes, over the service limit of " + u64(limits_.maxAmplitudes) +
-                    " (see LIMITS?)");
+    if (radix.totalDimension() > limits_.maxAmplitudes) {
+        detail::throwInvalidArgument("admission: register has " + u64(radix.totalDimension()) +
+                                     " amplitudes, over the service limit of " +
+                                     u64(limits_.maxAmplitudes) + " (see LIMITS?)");
+    }
     const auto session = backend_->ddSession();
     const std::uint64_t poolNodes = session->stats().poolNodes;
-    requireThat(poolNodes <= limits_.maxSessionNodes,
-                "admission: session node budget exhausted (" + u64(poolNodes) + " > " +
-                    u64(limits_.maxSessionNodes) + " dd nodes) — run GC or DROP idle targets");
+    if (poolNodes > limits_.maxSessionNodes) {
+        detail::throwInvalidArgument("admission: session node budget exhausted (" + u64(poolNodes) +
+                                     " > " + u64(limits_.maxSessionNodes) +
+                                     " dd nodes) — run GC or DROP idle targets");
+    }
 
     FamilySpec family;
     family.name = request.family;
     const bool known = family.name == "ghz" || family.name == "w" || family.name == "embw" ||
                        family.name == "uniform" || family.name == "dicke" ||
                        family.name == "cyclic" || family.name == "random";
-    requireThat(known, "unknown state family '" + parse::clipForMessage(family.name) +
-                           "' (ghz, w, embw, uniform, dicke, cyclic, random)");
+    if (!known) {
+        detail::throwInvalidArgument("unknown state family '" + parse::clipForMessage(family.name) +
+                                     "' (ghz, w, embw, uniform, dicke, cyclic, random)");
+    }
     family.weight = uintOption(request, "weight",
                                std::min<std::uint64_t>(2, maxDickeWeight(dims)));
     requireThat(family.name == "dicke" || request.option("weight") == nullptr,
                 "--weight only applies to PREP:DICKE");
-    requireThat(family.weight <= maxDickeWeight(dims),
-                "--weight needs a value in [0, " + u64(maxDickeWeight(dims)) +
-                    "] for this register (sum of dim_i - 1), got " + u64(family.weight));
+    if (family.weight > maxDickeWeight(dims)) {
+        detail::throwInvalidArgument("--weight needs a value in [0, " + u64(maxDickeWeight(dims)) +
+                                     "] for this register (sum of dim_i - 1), got " +
+                                     u64(family.weight));
+    }
     const std::uint64_t countRaw = uintOption(request, "count", defaultCyclicCount(dims));
     requireThat(family.name == "cyclic" || request.option("count") == nullptr,
                 "--count only applies to PREP:CYCLIC");
@@ -361,11 +371,13 @@ std::string VerificationService::handlePrep(const Request& request) {
         // *verify target* is the exact state interned into the session
         // either way, so GC and the compute cache govern it like any
         // other resident target.
-        requireThat(radix.totalDimension() <= kDenseBackendCeiling,
-                    std::string(approxText != nullptr ? "--approx" : "PREP:RANDOM") +
-                        " builds a dense amplitude vector, and the register has " +
-                        u64(radix.totalDimension()) + " amplitudes (dense ceiling " +
-                        u64(kDenseBackendCeiling) + ")");
+        if (radix.totalDimension() > kDenseBackendCeiling) {
+            detail::throwInvalidArgument(
+                std::string(approxText != nullptr ? "--approx" : "PREP:RANDOM") +
+                " builds a dense amplitude vector, and the register has " +
+                u64(radix.totalDimension()) + " amplitudes (dense ceiling " +
+                u64(kDenseBackendCeiling) + ")");
+        }
         const StateVector state = makeDenseState(family, dims);
         entry.target =
             EvalState(session->intern(DecisionDiagram::fromStateVector(state, options.tolerance)));
@@ -395,8 +407,10 @@ PreparedTarget& VerificationService::residentEntry(const Request& request) {
     if (const std::string* idText = request.option("id")) {
         const std::uint64_t id = parse::uint64(*idText, "--id");
         entry = registry_.find(id);
-        requireThat(entry != nullptr, "no prepared target with id " + u64(id) +
-                                          " (dropped, collected, or never prepared)");
+        if (entry == nullptr) {
+            detail::throwInvalidArgument("no prepared target with id " + u64(id) +
+                                         " (dropped, collected, or never prepared)");
+        }
     } else {
         entry = registry_.newest();
         requireThat(entry != nullptr, "nothing prepared yet — run PREP:<FAMILY> first");
@@ -407,12 +421,15 @@ PreparedTarget& VerificationService::residentEntry(const Request& request) {
 std::string VerificationService::handleVerify(const Request& request) {
     rejectUnknownOptions(request, {"id", "repeat"});
     PreparedTarget* entry = &residentEntry(request);
-    requireThat(entry->kind == PreparedTarget::Kind::Prepared,
-                "target " + u64(entry->id) +
-                    " is a STREAM session — use REVERIFY to check it");
+    if (entry->kind != PreparedTarget::Kind::Prepared) {
+        detail::throwInvalidArgument("target " + u64(entry->id) +
+                                     " is a STREAM session — use REVERIFY to check it");
+    }
     const std::uint64_t repeat = uintOption(request, "repeat", 1);
-    requireThat(repeat >= 1 && repeat <= limits_.maxVerifyRepeat,
-                "--repeat needs a value in [1, " + u64(limits_.maxVerifyRepeat) + "]");
+    if (repeat < 1 || repeat > limits_.maxVerifyRepeat) {
+        detail::throwInvalidArgument("--repeat needs a value in [1, " +
+                                     u64(limits_.maxVerifyRepeat) + "]");
+    }
 
     double fidelity = 0.0;
     for (std::uint64_t i = 0; i < repeat; ++i) {
@@ -464,15 +481,18 @@ std::string VerificationService::handleStream(const Request& request) {
 
     // Same admission gates as PREP: the streamed state lives in the shared
     // session like any prepared target.
-    requireThat(radix.totalDimension() <= limits_.maxAmplitudes,
-                "admission: register has " + u64(radix.totalDimension()) +
-                    " amplitudes, over the service limit of " + u64(limits_.maxAmplitudes) +
-                    " (see LIMITS?)");
+    if (radix.totalDimension() > limits_.maxAmplitudes) {
+        detail::throwInvalidArgument("admission: register has " + u64(radix.totalDimension()) +
+                                     " amplitudes, over the service limit of " +
+                                     u64(limits_.maxAmplitudes) + " (see LIMITS?)");
+    }
     const auto session = backend_->ddSession();
     const std::uint64_t poolNodes = session->stats().poolNodes;
-    requireThat(poolNodes <= limits_.maxSessionNodes,
-                "admission: session node budget exhausted (" + u64(poolNodes) + " > " +
-                    u64(limits_.maxSessionNodes) + " dd nodes) — run GC or DROP idle targets");
+    if (poolNodes > limits_.maxSessionNodes) {
+        detail::throwInvalidArgument("admission: session node budget exhausted (" + u64(poolNodes) +
+                                     " > " + u64(limits_.maxSessionNodes) +
+                                     " dd nodes) — run GC or DROP idle targets");
+    }
 
     PreparedTarget entry;
     entry.kind = PreparedTarget::Kind::Stream;
@@ -560,7 +580,9 @@ std::string VerificationService::handleDrop(const Request& request) {
     const std::string* idText = request.option("id");
     requireThat(idText != nullptr, "DROP requires --id <n>");
     const std::uint64_t id = parse::uint64(*idText, "--id");
-    requireThat(registry_.drop(id), "no prepared target with id " + u64(id));
+    if (!registry_.drop(id)) {
+        detail::throwInvalidArgument("no prepared target with id " + u64(id));
+    }
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return "OK dropped=" + u64(id) + " resident=" + u64(registry_.size());
 }

@@ -108,11 +108,12 @@ StateVector EvalState::toStateVector(std::uint64_t ceiling) const {
     if (isDense()) {
         return dense();
     }
-    requireThat(totalDimension() <= ceiling,
-                "EvalState::toStateVector: register has " +
-                    formatAmplitudeCount(totalDimension()) +
-                    " amplitudes, past the dense ceiling of " +
-                    formatAmplitudeCount(ceiling) + " — keep it as a diagram");
+    if (totalDimension() > ceiling) {
+        detail::throwInvalidArgument("EvalState::toStateVector: register has " +
+                                     formatAmplitudeCount(totalDimension()) +
+                                     " amplitudes, past the dense ceiling of " +
+                                     formatAmplitudeCount(ceiling) + " — keep it as a diagram");
+    }
     return diagram().toStateVector();
 }
 
@@ -277,12 +278,13 @@ VerifyReport EvaluationBackend::reverifyAppended(const Circuit& circuit, std::ui
 
 void DenseBackend::requireWithinCeiling(std::uint64_t totalDimension,
                                         const char* what) const {
-    requireThat(totalDimension <= maxAmplitudes_,
-                std::string(what) + ": register has " +
-                    formatAmplitudeCount(totalDimension) +
-                    " amplitudes, past the dense backend ceiling of " +
-                    formatAmplitudeCount(maxAmplitudes_) +
-                    " — use the dd backend (--backend dd)");
+    if (totalDimension > maxAmplitudes_) {
+        detail::throwInvalidArgument(std::string(what) + ": register has " +
+                                     formatAmplitudeCount(totalDimension) +
+                                     " amplitudes, past the dense backend ceiling of " +
+                                     formatAmplitudeCount(maxAmplitudes_) +
+                                     " — use the dd backend (--backend dd)");
+    }
 }
 
 EvalState DenseBackend::zeroState(const Dimensions& dims) const {
@@ -318,12 +320,13 @@ bool DenseBackend::circuitsEquivalent(const Circuit& a, const Circuit& b,
                 "DenseBackend::circuitsEquivalent: registers differ");
     const parallel::ScopedThreadCount scope(executionConfig().threads);
     const std::uint64_t total = a.radix().totalDimension();
-    requireThat(total <= kDenseEquivalenceCeiling,
-                "DenseBackend::circuitsEquivalent: register has " +
-                    formatAmplitudeCount(total) +
-                    " amplitudes; dense equivalence walks every column (limit " +
-                    formatAmplitudeCount(kDenseEquivalenceCeiling) +
-                    ") — use the dd backend");
+    if (total > kDenseEquivalenceCeiling) {
+        detail::throwInvalidArgument("DenseBackend::circuitsEquivalent: register has " +
+                                     formatAmplitudeCount(total) +
+                                     " amplitudes; dense equivalence walks every column (limit " +
+                                     formatAmplitudeCount(kDenseEquivalenceCeiling) +
+                                     ") — use the dd backend");
+    }
 
     // Column-by-column comparison of the two unitaries up to one global
     // phase. The phase is fixed by the *largest*-magnitude entry of the

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <stdexcept>
-#include <string>
+#include <string_view>
 
 namespace mqsp {
 
@@ -26,24 +26,27 @@ public:
 };
 
 namespace detail {
-[[noreturn]] inline void throwInvalidArgument(const std::string& message) {
-    throw InvalidArgumentError(message);
-}
-[[noreturn]] inline void throwInternal(const std::string& message) {
-    throw InternalError(message);
-}
+/// The throw paths, kept out of line so an inlined check costs its
+/// compare and a never-taken branch.
+[[noreturn]] void throwInvalidArgument(std::string_view message);
+[[noreturn]] void throwInternal(std::string_view message);
 } // namespace detail
 
+// A check is free when it passes: the message is a literal, and a message
+// composed from runtime values is built only on the failure branch
+// (`if (!cond) { detail::throwInvalidArgument("..." + value); }`). Taking
+// `const char*` makes a composed std::string argument a compile error.
+
 /// Check a caller-facing precondition; throws InvalidArgumentError on failure.
-inline void requireThat(bool condition, const std::string& message) {
-    if (!condition) {
+inline void requireThat(bool condition, const char* message) {
+    if (!condition) [[unlikely]] {
         detail::throwInvalidArgument(message);
     }
 }
 
 /// Check an internal invariant; throws InternalError on failure.
-inline void ensureThat(bool condition, const std::string& message) {
-    if (!condition) {
+inline void ensureThat(bool condition, const char* message) {
+    if (!condition) [[unlikely]] {
         detail::throwInternal(message);
     }
 }

@@ -123,24 +123,33 @@ Dimensions parseDimensionSpec(const std::string& spec) {
         if (cross != std::string::npos) {
             const std::string countText = entry.substr(0, cross);
             dimText = entry.substr(cross + 1);
-            requireThat(!countText.empty() && !dimText.empty(),
-                        "parseDimensionSpec: malformed CountxDimension entry '" +
-                            parse::clipForMessage(entry) + "' (expected Count x Dimension)");
+            if (countText.empty() || dimText.empty()) {
+                detail::throwInvalidArgument(
+                    "parseDimensionSpec: malformed CountxDimension entry '" +
+                    parse::clipForMessage(entry) + "' (expected Count x Dimension)");
+            }
             count = parse::uint64(countText, "parseDimensionSpec: count in entry '" +
                                                  parse::clipForMessage(entry) + "'");
-            requireThat(count >= 1, "parseDimensionSpec: count must be >= 1 in entry '" +
-                                        parse::clipForMessage(entry) + "'");
+            if (count < 1) {
+                detail::throwInvalidArgument("parseDimensionSpec: count must be >= 1 in entry '" +
+                                             parse::clipForMessage(entry) + "'");
+            }
         }
         const auto dim = parse::uint64(dimText, "parseDimensionSpec: dimension in entry '" +
                                                     parse::clipForMessage(entry) + "'");
-        requireThat(dim >= 2, "parseDimensionSpec: dimension must be >= 2 in entry '" +
-                                  parse::clipForMessage(entry) + "'");
-        requireThat(dim <= std::numeric_limits<Dimension>::max(),
-                    "parseDimensionSpec: dimension overflows in entry '" +
-                        parse::clipForMessage(entry) + "'");
-        requireThat(count <= kMaxQudits && dims.size() + count <= kMaxQudits,
-                    "parseDimensionSpec: register exceeds " + std::to_string(kMaxQudits) +
-                        " qudits in entry '" + parse::clipForMessage(entry) + "'");
+        if (dim < 2) {
+            detail::throwInvalidArgument("parseDimensionSpec: dimension must be >= 2 in entry '" +
+                                         parse::clipForMessage(entry) + "'");
+        }
+        if (dim > std::numeric_limits<Dimension>::max()) {
+            detail::throwInvalidArgument("parseDimensionSpec: dimension overflows in entry '" +
+                                         parse::clipForMessage(entry) + "'");
+        }
+        if (count > kMaxQudits || dims.size() + count > kMaxQudits) {
+            detail::throwInvalidArgument("parseDimensionSpec: register exceeds " +
+                                         std::to_string(kMaxQudits) + " qudits in entry '" +
+                                         parse::clipForMessage(entry) + "'");
+        }
         dims.insert(dims.end(), static_cast<std::size_t>(count), static_cast<Dimension>(dim));
     }
     requireThat(!dims.empty(), "parseDimensionSpec: no dimensions parsed");

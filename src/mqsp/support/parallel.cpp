@@ -51,8 +51,10 @@ unsigned resolveThreadCount(unsigned requested) {
         } catch (const std::exception&) {
             consumed = 0;
         }
-        requireThat(!text.empty() && consumed == text.size(),
-                    "MQSP_THREADS expects a non-negative integer, got '" + text + "'");
+        if (text.empty() || consumed != text.size()) {
+            mqsp::detail::throwInvalidArgument(
+                "MQSP_THREADS expects a non-negative integer, got '" + text + "'");
+        }
         if (parsed > 0) {
             return static_cast<unsigned>(parsed);
         }

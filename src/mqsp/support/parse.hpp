@@ -73,18 +73,23 @@ namespace mqsp::parse {
 
 /// Throwing wrapper around tryUint64: `context` names the field (flag,
 /// spec entry, protocol option) for the error message.
-[[nodiscard]] inline std::uint64_t uint64(std::string_view text, const std::string& context) {
+[[nodiscard]] inline std::uint64_t uint64(std::string_view text, std::string_view context) {
     const auto value = tryUint64(text);
-    requireThat(value.has_value(),
-                context + " expects a non-negative integer, got '" + clipForMessage(text) + "'");
+    if (!value.has_value()) {
+        detail::throwInvalidArgument(std::string(context) +
+                                     " expects a non-negative integer, got '" +
+                                     clipForMessage(text) + "'");
+    }
     return *value;
 }
 
 /// Throwing wrapper around tryDouble; `context` names the field.
-[[nodiscard]] inline double real(std::string_view text, const std::string& context) {
+[[nodiscard]] inline double real(std::string_view text, std::string_view context) {
     const auto value = tryDouble(text);
-    requireThat(value.has_value(),
-                context + " expects a number, got '" + clipForMessage(text) + "'");
+    if (!value.has_value()) {
+        detail::throwInvalidArgument(std::string(context) + " expects a number, got '" +
+                                     clipForMessage(text) + "'");
+    }
     return *value;
 }
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 namespace mqsp {
 namespace {
 
@@ -52,6 +55,26 @@ TEST(Circuit, AppendValidatesShiftAmount) {
     Circuit circuit({3});
     EXPECT_THROW(circuit.append(Operation::shift(0, 3)), InvalidArgumentError);
     EXPECT_NO_THROW(circuit.append(Operation::shift(0, 2)));
+}
+
+TEST(Circuit, AppendRejectsNonFiniteAngles) {
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    Circuit circuit({3, 2});
+    const MixedRadix radix(Dimensions{3, 2});
+    for (const Operation& op :
+         {Operation::givens(0, 0, 1, inf, 0.0), Operation::givens(0, 0, 1, 0.5, nan),
+          Operation::givens(0, 0, 1, -inf, 0.0, {{1, 1}}), Operation::phase(1, 0, 1, nan)}) {
+        EXPECT_THROW(validateOperation(op, radix), InvalidArgumentError) << op.toString();
+        EXPECT_THROW(circuit.append(op), InvalidArgumentError) << op.toString();
+    }
+    EXPECT_TRUE(circuit.empty());
+    try {
+        validateOperation(Operation::phase(1, 0, 1, nan), radix);
+        FAIL() << "expected InvalidArgumentError";
+    } catch (const InvalidArgumentError& error) {
+        EXPECT_NE(std::string(error.what()).find("finite"), std::string::npos) << error.what();
+    }
 }
 
 TEST(Circuit, OperationsKeepApplicationOrder) {

@@ -110,6 +110,18 @@ TEST(PrinterJson, RejectsNonNumericValueNamingKeyAndLine) {
                      "value for key 'theta'");
 }
 
+TEST(PrinterJson, RejectsNonFiniteAngles) {
+    // from_chars reads "inf"/"nan" as numbers; operation validation must
+    // still refuse them as angles.
+    for (const char* angles : {"\"theta\":inf,\"phi\":0", "\"theta\":0,\"phi\":nan",
+                               "\"theta\":-inf,\"phi\":0"}) {
+        expectParseError(std::string(kHeader) +
+                             "{\"kind\":\"givens\",\"target\":0,\"levelA\":0,\"levelB\":1," +
+                             angles + ",\"shift\":0,\"controls\":[]}\n",
+                         "angles must be finite");
+    }
+}
+
 TEST(PrinterJson, RejectsTruncatedOperationLine) {
     // A line cut mid-object (torn write, truncated download) names the
     // first missing key instead of crashing in a raw substring scan.

@@ -8,8 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <iomanip>
+#include <limits>
+#include <numbers>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace mqsp {
 namespace {
@@ -272,6 +279,114 @@ TEST(QasmStream, ByteSoupAndMutatedTextNeverEscapeAsBareExceptions) {
         // Any other exception type escapes and fails the test.
     }
     EXPECT_GT(rejected, 0U);
+}
+
+/// The message of the InvalidArgumentError `parse` throws ("" if none).
+template <typename Parse>
+std::string rejectionOf(Parse parse) {
+    try {
+        parse();
+    } catch (const InvalidArgumentError& error) {
+        return error.what();
+    }
+    return "";
+}
+
+/// Every way of reading one gate statement after the preamble: the
+/// whole-circuit parser, a GateStream and the single-statement entry.
+/// Returns the three rejection messages.
+std::vector<std::string> rejectionsOfStatement(const std::string& statement) {
+    const std::string text = "MQSPQASM 1.0;\nqreg q[2] = [3, 2];\n" + statement + "\n";
+    return {rejectionOf([&] { (void)parseQasmString(text); }),
+            rejectionOf([&] {
+                std::istringstream in(text);
+                GateStream stream(in);
+                (void)stream.next();
+            }),
+            rejectionOf([&] {
+                (void)parseQasmStatement(statement, MixedRadix(Dimensions{3, 2}), 3);
+            })};
+}
+
+TEST(QasmNumbers, HexFloatsAndOutOfRangeValuesAreNotNumbers) {
+    // std::stod took the hex float; the decimal grammar does not. Values
+    // past the double range, doubled signs and trailing junk fail alike.
+    for (const std::string angle :
+         {"0x1p1", "0X1P1", "1e400", "-1e400", "+-1", "++1", "- 1", "1.5abc", "1e", "."}) {
+        for (const std::string& message :
+             rejectionsOfStatement("rxy q[0] (0, 1, " + angle + ", 0);")) {
+            EXPECT_NE(message.find("parseQasm: line 3: expected a number"), std::string::npos)
+                << "angle '" << angle << "' gave: '" << message << "'";
+        }
+    }
+}
+
+TEST(QasmNumbers, LeadingSignsAreAccepted) {
+    const MixedRadix radix(Dimensions{3, 2});
+    EXPECT_EQ(parseQasmStatement("rz q[0] (0, 1, +0.5);", radix).theta, 0.5);
+    EXPECT_EQ(parseQasmStatement("rz q[0] (0, 1, -0.5);", radix).theta, -0.5);
+    EXPECT_EQ(parseQasmStatement("rxy q[0] (0, 1, +1e-3, -2.5E+1);", radix).phi, -25.0);
+}
+
+TEST(QasmNumbers, NegativeZeroAndSeventeenDigitValuesRoundTripBitExactly) {
+    const double values[] = {-0.0,
+                             0.0,
+                             0.1 + 0.2,
+                             1.0 / 3.0,
+                             -std::numbers::pi,
+                             std::nextafter(1.0, 2.0),
+                             1e-300,
+                             std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::max(),
+                             -std::numeric_limits<double>::max()};
+    Circuit circuit({3, 2}, "numbers");
+    for (const double value : values) {
+        circuit.append(Operation::givens(0, 0, 2, value, -value));
+    }
+    const std::string text = toQasm(circuit);
+    EXPECT_NE(text.find("rxy q[0] (0, 2, -0, 0);"), std::string::npos) << text;
+    const Circuit parsed = parseQasmString(text);
+    ASSERT_EQ(parsed.numOperations(), circuit.numOperations());
+    for (std::size_t i = 0; i < circuit.numOperations(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed[i].theta),
+                  std::bit_cast<std::uint64_t>(circuit[i].theta))
+            << "theta " << i << " in:\n" << text;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed[i].phi),
+                  std::bit_cast<std::uint64_t>(circuit[i].phi))
+            << "phi " << i;
+    }
+}
+
+TEST(QasmNumbers, AnglesPrintAsAStreamAtPrecisionSeventeen) {
+    // The dialect's angle spelling is an ostream's at setprecision(17)
+    // (printf "%.17g"); emitQasm and toQasm share one formatter.
+    Rng rng(17);
+    Circuit circuit({5}, "spelling");
+    std::ostringstream expected;
+    expected << "MQSPQASM 1.0;\n// spelling\nqreg q[1] = [5];\n" << std::setprecision(17);
+    for (int i = 0; i < 2000; ++i) {
+        const double scale = std::pow(10.0, static_cast<double>(i % 40) - 20.0);
+        const double theta = rng.uniform(-0.5, 0.5) * scale;
+        circuit.append(Operation::phase(0, 1, 4, theta));
+        expected << "rz q[0] (1, 4, " << theta << ");\n";
+    }
+    EXPECT_EQ(toQasm(circuit), expected.str());
+    std::ostringstream emitted;
+    emitQasm(emitted, circuit);
+    EXPECT_EQ(emitted.str(), expected.str());
+}
+
+TEST(Qasm, NonFiniteAnglesAreRefused) {
+    for (const std::string statement :
+         {"rxy q[0] (0, 1, inf, 0);", "rxy q[0] (0, 1, nan, 0);", "rxy q[0] (0, 1, 0.5, -inf);",
+          "rz q[1] (0, 1, infinity) ctl q[0]=2;", "rz q[0] (0, 2, -nan);"}) {
+        for (const std::string& message : rejectionsOfStatement(statement)) {
+            EXPECT_NE(message.find("parseQasm: line 3: "), std::string::npos)
+                << statement << " gave: '" << message << "'";
+            EXPECT_NE(message.find("finite"), std::string::npos)
+                << statement << " gave: '" << message << "'";
+        }
+    }
 }
 
 TEST(Qasm, RoundTripsEveryBenchmarkFamilyCircuit) {

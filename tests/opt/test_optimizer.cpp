@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -169,6 +170,103 @@ TEST(Optimizer, ReportsRoundsAndCounts) {
     EXPECT_GE(report.rounds, 1U);
 }
 
+TEST(Optimizer, LongMergeableRunCollapsesToOneOp) {
+    // Each pass compacts once, so a run this long stays linear (the
+    // erase-per-merge passes took seconds here).
+    constexpr std::size_t kOps = 40000;
+    Circuit circuit({3, 2});
+    double sum = 0.0;
+    for (std::size_t i = 0; i < kOps; ++i) {
+        const double theta = 1e-3 * static_cast<double>(1 + i % 7);
+        circuit.append(Operation::givens(0, 0, 1, theta, 0.25, {{1, 1}}));
+        sum += theta;
+    }
+    const auto report = optimizeCircuit(circuit);
+    EXPECT_EQ(report.opsBefore, kOps);
+    EXPECT_EQ(report.opsAfter, 1U);
+    EXPECT_EQ(report.mergedRotations, kOps - 1);
+    EXPECT_EQ(report.droppedIdentities, 0U);
+    EXPECT_EQ(report.rounds, 1U);
+    ASSERT_EQ(circuit.numOperations(), 1U);
+    EXPECT_EQ(circuit[0].kind, GateKind::GivensRotation);
+    EXPECT_EQ(circuit[0].phi, 0.25);
+    EXPECT_EQ(circuit[0].controls, (std::vector<Control>{{1, 1}}));
+    EXPECT_EQ(circuit[0].theta, sum); // summed in circuit order, bit for bit
+}
+
+/// Report counts the optimizer gives a circuit; pinned where the passes
+/// must keep their exact merge order, not just the semantics.
+struct PinnedReport {
+    std::size_t opsAfter;
+    std::size_t mergedRotations;
+    std::size_t droppedIdentities;
+    std::size_t mergedControlFans;
+    std::size_t rounds;
+};
+
+void expectReport(const OptimizerReport& report, const PinnedReport& pinned) {
+    EXPECT_EQ(report.opsAfter, pinned.opsAfter);
+    EXPECT_EQ(report.mergedRotations, pinned.mergedRotations);
+    EXPECT_EQ(report.droppedIdentities, pinned.droppedIdentities);
+    EXPECT_EQ(report.mergedControlFans, pinned.mergedControlFans);
+    EXPECT_EQ(report.rounds, pinned.rounds);
+}
+
+TEST(Optimizer, FanRichCircuitsKeepSemanticsAndCounts) {
+    // Blocks of one payload fanned over every level of a control qudit, in
+    // mixed control order, with levels dropped or repeated and disjoint
+    // shifts interleaved: full fans collapse, partial ones stay.
+    constexpr PinnedReport kPinned[] = {{77, 7, 0, 26, 1}, {97, 8, 0, 25, 1}, {91, 5, 0, 19, 1}};
+    const Dimensions dims{3, 2, 4, 3};
+    const MixedRadix radix(dims);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Rng rng(seed * 131);
+        Circuit circuit(dims);
+        for (int block = 0; block < 30; ++block) {
+            const auto target = static_cast<std::size_t>(rng.uniformIndex(4));
+            const std::size_t fan = (target + 1 + rng.uniformIndex(3)) % 4;
+            std::vector<Control> base;
+            for (std::size_t q = 0; q < 4; ++q) {
+                if (q != target && q != fan && rng.uniform01() < 0.4) {
+                    base.push_back({q, static_cast<Level>(rng.uniformIndex(radix.dimensionAt(q)))});
+                }
+            }
+            const double theta = rng.uniform01() < 0.5 ? kPi / 4 : -kPi / 3;
+            const auto kind = rng.uniformIndex(3);
+            const Dimension fanDim = radix.dimensionAt(fan);
+            for (Level l = 0; l < fanDim; ++l) {
+                if (rng.uniform01() < 0.1) {
+                    continue;
+                }
+                const int reps = rng.uniform01() < 0.15 ? 2 : 1;
+                for (int r = 0; r < reps; ++r) {
+                    auto controls = base;
+                    controls.push_back({fan, (l * 7 + static_cast<Level>(block)) % fanDim});
+                    if (rng.uniform01() < 0.5) {
+                        std::reverse(controls.begin(), controls.end());
+                    }
+                    if (kind == 0) {
+                        circuit.append(Operation::givens(target, 0, 1, theta, 0.3, controls));
+                    } else if (kind == 1) {
+                        circuit.append(Operation::hadamard(target, controls));
+                    } else {
+                        circuit.append(Operation::phase(target, 0, 1, theta, controls));
+                    }
+                    if (rng.uniform01() < 0.3) {
+                        const std::size_t other = rng.uniformIndex(4);
+                        if (other != target) {
+                            circuit.append(Operation::shift(other, 1));
+                        }
+                    }
+                }
+            }
+        }
+        Circuit optimized = circuit;
+        expectReport(optimizeCircuit(optimized), kPinned[seed - 1]);
+        expectSameProcess(circuit, optimized, 1e-8);
+    }
+}
+
 class OptimizerFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(OptimizerFuzz, RandomCircuitsKeepTheirSemantics) {
@@ -205,6 +303,11 @@ TEST_P(OptimizerFuzz, RandomCircuitsKeepTheirSemantics) {
     Circuit optimized = circuit;
     const auto report = optimizeCircuit(optimized);
     EXPECT_LE(report.opsAfter, report.opsBefore);
+    constexpr PinnedReport kPinned[] = {{45, 1, 14, 0, 2}, {47, 2, 11, 0, 1}, {33, 6, 21, 0, 1},
+                                        {43, 1, 16, 0, 1}, {45, 1, 14, 0, 1}, {45, 2, 13, 0, 2},
+                                        {40, 4, 16, 0, 2}, {40, 0, 20, 0, 1}, {43, 1, 16, 0, 1},
+                                        {48, 0, 12, 0, 1}};
+    expectReport(report, kPinned[GetParam() - 1]);
     expectSameProcess(circuit, optimized, 1e-8);
 }
 

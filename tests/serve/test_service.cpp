@@ -387,6 +387,27 @@ TEST(ServeStream, StreamSessionsSkipBatchAndSurviveGc) {
     EXPECT_EQ(field(idle, "fidelity"), "1.000000000");
 }
 
+TEST(ServeStream, NonFiniteAnglesAnswerOneErrAndLeaveTheCursor) {
+    VerificationService service;
+    ok(service, "PREP:GHZ --dims 3,6,2");
+    const std::uint64_t total = uintField(ok(service, "REVERIFY"), "total_ops");
+    for (const char* gate : {"rxy q[0] (0, 1, inf, 0);", "rxy q[0] (0, 1, 0.5, nan);",
+                             "rz q[1] (0, 1, -inf) ctl q[0]=1;"}) {
+        const std::string reply = err(service, std::string("APPEND --gate ") + gate, "finite");
+        EXPECT_EQ(reply.find('\n'), std::string::npos) << reply;
+    }
+    // Neither the circuit nor the replay cursor moved.
+    const std::string idle = ok(service, "REVERIFY");
+    EXPECT_EQ(uintField(idle, "delta_ops"), 0U);
+    EXPECT_EQ(uintField(idle, "total_ops"), total);
+    EXPECT_EQ(field(idle, "fidelity"), "1.000000000");
+
+    ok(service, "STREAM --dims 3,6,2");
+    err(service, "APPEND --gate rxy q[0] (0, 1, nan, 0);", "finite");
+    EXPECT_EQ(uintField(ok(service, "APPEND --gate h q[0];"), "ops"), 1U);
+    EXPECT_EQ(uintField(ok(service, "STATS?"), "appended"), 1U);
+}
+
 TEST(ServeStream, BadStreamInputKeepsServing) {
     VerificationService service;
     err(service, "STREAM", "STREAM requires --dims");

@@ -102,7 +102,9 @@ std::uint32_t defaultCyclicCount(const Dimensions& dims) {
 
 StateVector loadAmplitudes(const Dimensions& dims, const std::string& path) {
     std::ifstream in(path);
-    requireThat(in.good(), "cannot open amplitude file: " + path);
+    if (!in.good()) {
+        detail::throwInvalidArgument("cannot open amplitude file: " + path);
+    }
     std::vector<Complex> amps;
     double re = 0.0;
     double im = 0.0;
@@ -167,10 +169,12 @@ StateSpec parseStateSpec(const std::string& name, const Dimensions& dims) {
         for (const auto dim : dims) {
             maxWeight += dim - 1;
         }
-        requireThat(weight <= maxWeight,
-                    "dicke=<weight> needs a weight in [0, " + std::to_string(maxWeight) +
-                        "] for this register (sum of dim_i - 1), got " +
-                        std::to_string(weight));
+        if (weight > maxWeight) {
+            detail::throwInvalidArgument("dicke=<weight> needs a weight in [0, " +
+                                         std::to_string(maxWeight) +
+                                         "] for this register (sum of dim_i - 1), got " +
+                                         std::to_string(weight));
+        }
         return {StateSpec::Family::Dicke, weight};
     }
     if (name == "cyclic") {
@@ -296,11 +300,13 @@ int main(int argc, char** argv) {
             // Dense pipeline, exactly as before the backend layer existed —
             // refusing up front past the ceiling instead of dying in the
             // allocator while building the target.
-            requireThat(radix.totalDimension() <= kDenseBackendCeiling,
-                        "register has " + std::to_string(radix.totalDimension()) +
-                            " amplitudes, past the dense backend ceiling of " +
-                            std::to_string(kDenseBackendCeiling) +
-                            " — use --backend dd");
+            if (radix.totalDimension() > kDenseBackendCeiling) {
+                detail::throwInvalidArgument("register has " +
+                                             std::to_string(radix.totalDimension()) +
+                                             " amplitudes, past the dense backend ceiling of " +
+                                             std::to_string(kDenseBackendCeiling) +
+                                             " — use --backend dd");
+            }
             const StateVector state = amplitudePath
                                           ? loadAmplitudes(dims, *amplitudePath)
                                           : makeNamedState(*stateSpec, dims, seed);
@@ -324,18 +330,18 @@ int main(int argc, char** argv) {
                                             approx ? nullptr : session.get());
             }
             if (diagram.rootNode() == kNoNode) {
-                requireThat(radix.totalDimension() <= kDenseBackendCeiling,
-                            approx && stateSpec && stateSpec->isDagOnly()
-                                ? std::string(
-                                      "--approx needs a tree-shaped diagram, and the " +
-                                      *stateName +
-                                      " state's native diagram is a DAG — drop "
-                                      "--approx or stay within the dense ceiling")
-                                : "state '" + stateName.value_or("from_file") +
-                                      "' needs a dense amplitude vector to construct, "
-                                      "and the register is past the dense ceiling — "
-                                      "use ghz, w, embw, uniform, cyclic, or dicke "
-                                      "with --backend dd on registers this large");
+                if (radix.totalDimension() > kDenseBackendCeiling) {
+                    detail::throwInvalidArgument(
+                        approx && stateSpec && stateSpec->isDagOnly()
+                            ? "--approx needs a tree-shaped diagram, and the " + *stateName +
+                                  " state's native diagram is a DAG — drop "
+                                  "--approx or stay within the dense ceiling"
+                            : "state '" + stateName.value_or("from_file") +
+                                  "' needs a dense amplitude vector to construct, "
+                                  "and the register is past the dense ceiling — "
+                                  "use ghz, w, embw, uniform, cyclic, or dicke "
+                                  "with --backend dd on registers this large");
+                }
                 const StateVector state = amplitudePath
                                               ? loadAmplitudes(dims, *amplitudePath)
                                               : makeNamedState(*stateSpec, dims, seed);
@@ -381,13 +387,17 @@ int main(int argc, char** argv) {
         if (argFlag(argc, argv, "--verify")) {
             const VerifyReport report =
                 backend->verify(VerifyRequest{&result.circuit, &target, 1, 0});
-            requireThat(!report.failed, report.error);
+            if (report.failed) {
+                detail::throwInvalidArgument(report.error);
+            }
             std::fprintf(stderr, "verified fidelity : %.9f\n", report.fidelity);
         }
         if (const auto noiseSpec = argValue(argc, argv, "--noise")) {
             const double eps = cli::argDouble(argc, argv, "--noise", 0.0);
-            requireThat(eps >= 0.0 && eps <= 1.0,
-                        "--noise needs an error rate in [0, 1], got " + *noiseSpec);
+            if (!(eps >= 0.0 && eps <= 1.0)) {
+                detail::throwInvalidArgument("--noise needs an error rate in [0, 1], got " +
+                                             *noiseSpec);
+            }
             // The density matrix is quadratic in the Hilbert dimension, so
             // the noisy replay only runs on registers within its own
             // (tighter) ceiling; toStateVector enforces it up front.

@@ -111,7 +111,9 @@ int main(int argc, char** argv) {
                 runStream(std::cin);
             } else {
                 std::ifstream in(input);
-                requireThat(in.good(), "cannot open QASM file: " + input);
+                if (!in.good()) {
+                    detail::throwInvalidArgument("cannot open QASM file: " + input);
+                }
                 runStream(in);
             }
         } else {
@@ -122,9 +124,11 @@ int main(int argc, char** argv) {
                 circuit = parseFrom(std::cin);
             } else {
                 std::ifstream in(input);
-                requireThat(in.good(), std::string("cannot open ") +
-                                           (path ? "QASM" : "circuit-JSON") +
-                                           " file: " + input);
+                if (!in.good()) {
+                    detail::throwInvalidArgument(std::string("cannot open ") +
+                                                 (path ? "QASM" : "circuit-JSON") + " file: " +
+                                                 input);
+                }
                 circuit = parseFrom(in);
             }
 
@@ -198,8 +202,10 @@ int main(int argc, char** argv) {
         }
         if (const auto noiseSpec = argValue(argc, argv, "--noise")) {
             const double eps = cli::argDouble(argc, argv, "--noise", 0.0);
-            requireThat(eps >= 0.0 && eps <= 1.0,
-                        "--noise needs an error rate in [0, 1], got " + *noiseSpec);
+            if (!(eps >= 0.0 && eps <= 1.0)) {
+                detail::throwInvalidArgument("--noise needs an error rate in [0, 1], got " +
+                                             *noiseSpec);
+            }
             requireThat(radix.totalDimension() <= 1024,
                         "--noise replays on a dense density matrix, which needs "
                         "total dimension <= 1024");
