@@ -225,13 +225,12 @@ void addBatchCase(Harness& harness, const std::string& family, const Dimensions&
 }
 
 /// Register an intra-apply case: ONE session-backed replay of a dense
-/// random-state preparation circuit, where the concurrency lives *inside*
-/// each gate application (dd/apply.cpp fans the target-level rebuild out
-/// across the sharded session tables) rather than across batch items. The
-/// t1/t2/t4/t8 rows read as the intra-diagram speedup curve; `dd_nodes`
-/// and `fidelity` are thread-count-invariant by the determinism contract
-/// and feed the CI metrics gate. The interleaving-dependent hit rates are
-/// deliberately NOT recorded on these rows.
+/// random-state preparation circuit, a single work item with no batch to
+/// spread. The replay is serial at any width (a diagram this size cannot
+/// repay a pool dispatch), so the t1/t2/t4/t8 rows show that a wider pool
+/// costs a single-item replay nothing; `dd_nodes` and `fidelity` are
+/// thread-count-invariant and feed the CI metrics gate. Hit rates are
+/// not recorded on these rows.
 void addIntraApplyCase(Harness& harness, const Dimensions& dims, std::uint64_t caseSeed,
                        unsigned threads, bool smoke) {
     SynthesisOptions lean;
@@ -341,10 +340,10 @@ int main(int argc, char** argv) {
         addBatchCase(harness, "GHZ", batchRegister, BackendKind::Dd, 8, threads,
                      threads == 4);
     }
-    // Intra-diagram apply: one session replay whose parallelism lives
-    // inside each gate (dd/apply.cpp), on a dense random register whose
-    // diagram degenerates toward the full tree — the worst case for
-    // structure, the best case for intra-gate fan-out.
+    // Single-item apply: one session replay on a dense random register
+    // whose diagram degenerates toward the full tree — the largest
+    // diagram a single item reaches, and so the row where a wider pool
+    // would first show a cost.
     const Dimensions intraRegister{9, 5, 6, 3};
     const std::uint64_t intraSeed = driverSeeder.childSeed();
     for (const unsigned threads : {1U, 2U, 4U, 8U}) {

@@ -19,9 +19,9 @@
 // cache (the same (gate, state) applications were just interned), so the
 // t1 rows additionally gate the raw cache hit/lookup counts — the
 // measured proof that incremental re-verification reuses the session
-// cache instead of redoing the replay. At t2/t4/t8 the intra-diagram
-// apply fan-out makes raw cache counts interleaving-dependent, so those
-// rows gate only the invariant metrics (see docs/BENCHMARKS.md).
+// cache instead of redoing the replay. The replay is serial at every
+// width, so the t2/t4/t8 rows would repeat those counts; they gate the
+// other metrics only (see docs/BENCHMARKS.md).
 
 #include "harness.hpp"
 
@@ -169,9 +169,8 @@ void addStreamingCase(Harness& harness, unsigned threads, bool smoke) {
         rep.metric("dd_nodes", static_cast<double>(delta.ddNodes));
         rep.metric("ops_per_sec", static_cast<double>(stream.ops) * 1e9 /
                                       static_cast<double>(rep.elapsedNs()));
-        // Raw cache counters are deterministic only single-threaded (the
-        // intra-diagram fan-out makes fills interleaving-dependent), so
-        // only the t1 row feeds them to the gate.
+        // The replay is serial at every width, so the raw cache counters
+        // feed the gate from the t1 row alone.
         if (threads == 1) {
             rep.metric("stream_cache_lookups", static_cast<double>(stream.cacheLookups));
             rep.metric("stream_cache_hits", static_cast<double>(stream.cacheHits));

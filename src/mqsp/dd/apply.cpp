@@ -1,13 +1,11 @@
 #include "mqsp/dd/decision_diagram.hpp"
 
 #include "mqsp/support/error.hpp"
-#include "mqsp/support/parallel.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <functional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -260,117 +258,6 @@ void DecisionDiagram::applyOperation(const Operation& op, double tol) {
         visitMemo.emplace(ref, WeightedEdge{newRef, Complex{norm, 0.0}});
         return {newRef, weight * norm};
     };
-
-    // Intra-diagram fan-out (the PR 6 level-synchronous idiom applied
-    // *inside* one gate): the expensive part of a gate is the target-level
-    // rebuild — every target-site node mixes its out-edges through `local`,
-    // one independent add-chain per output row. Collect the distinct
-    // target-level nodes reachable through control-eligible paths, compute
-    // all (node, row) add-chains in parallel against the session's sharded
-    // uniquing table and striped compute cache, then normalize and intern
-    // sequentially in canonical (DFS collection) order, seeding visitMemo
-    // so the serial spine rebuild below hits every target node.
-    //
-    // Determinism: add() is a pure function of canonical node structure, so
-    // a parallel recomputation that misses a memo/cache entry the serial
-    // order would have hit produces bit-identical weights, and the interned
-    // node set — dd_nodes — is invariant under thread count and schedule
-    // (same argument as the level-synchronous session builders). Gated on
-    // sessionBacked(): a private store's table is Serial and must keep the
-    // historical single-threaded recursion.
-    if (sessionBacked() && parallel::globalThreads() > 1 &&
-        !parallel::insideParallelRegion()) {
-        std::vector<NodeRef> targets;
-        std::unordered_set<NodeRef> seen;
-        std::vector<NodeRef> stack{root_};
-        bool regular = true; // no path hits the terminal above the target
-        while (!stack.empty() && regular) {
-            const NodeRef ref = stack.back();
-            stack.pop_back();
-            if (!seen.insert(ref).second) {
-                continue;
-            }
-            if (node(ref).isTerminal()) {
-                regular = false;
-                break;
-            }
-            const std::uint32_t site = node(ref).site;
-            if (site == op.target) {
-                targets.push_back(ref);
-                continue;
-            }
-            const Control* control = nullptr;
-            for (const auto& ctrl : op.controls) {
-                if (ctrl.qudit == site) {
-                    control = &ctrl;
-                    break;
-                }
-            }
-            const auto& sourceEdges = node(ref).edges;
-            for (std::size_t k = 0; k < sourceEdges.size(); ++k) {
-                if (sourceEdges[k].isZeroStub()) {
-                    continue;
-                }
-                if (control == nullptr || control->level == k) {
-                    stack.push_back(sourceEdges[k].node);
-                }
-            }
-        }
-        const std::size_t arity = targetDim;
-        if (regular && targets.size() * arity > 1) {
-            std::vector<WeightedEdge> rows(targets.size() * arity);
-            parallel::parallelFor(
-                0, rows.size(), /*grainSize=*/1,
-                [&](std::uint64_t begin, std::uint64_t end) {
-                    for (std::uint64_t idx = begin; idx < end; ++idx) {
-                        const NodeRef target = targets[idx / arity];
-                        const auto r = static_cast<std::size_t>(idx % arity);
-                        const auto& sourceEdges = node(target).edges;
-                        WeightedEdge acc;
-                        for (std::size_t c = 0; c < arity; ++c) {
-                            const Complex coefficient = local(r, c);
-                            if (coefficient == Complex{0.0, 0.0} ||
-                                sourceEdges[c].isZeroStub()) {
-                                continue;
-                            }
-                            acc = add(acc,
-                                      WeightedEdge{sourceEdges[c].node,
-                                                   coefficient * sourceEdges[c].weight});
-                        }
-                        rows[idx] = acc;
-                    }
-                });
-            // Sequential intern in canonical order — byte-for-byte the
-            // site == op.target body of visit(), fed from the slots.
-            for (std::size_t t = 0; t < targets.size(); ++t) {
-                std::vector<DDEdge> edges(arity);
-                double sumSquares = 0.0;
-                bool any = false;
-                for (std::size_t r = 0; r < arity; ++r) {
-                    const WeightedEdge& acc = rows[t * arity + r];
-                    if (acc.isZero(tol)) {
-                        edges[r] = DDEdge{};
-                        continue;
-                    }
-                    edges[r] = DDEdge{acc.node, acc.weight};
-                    sumSquares += squaredMagnitude(acc.weight);
-                    any = true;
-                }
-                if (!any) {
-                    visitMemo.emplace(targets[t], WeightedEdge{});
-                    continue;
-                }
-                const double norm = std::sqrt(sumSquares);
-                for (auto& edge : edges) {
-                    if (!edge.isZeroStub()) {
-                        edge.weight /= norm;
-                    }
-                }
-                const NodeRef newRef = allocate(op.target, std::move(edges));
-                visitMemo.emplace(targets[t], WeightedEdge{newRef, Complex{norm, 0.0}});
-            }
-        }
-    }
 
     const WeightedEdge newRoot = visit(root_, rootWeight_);
     if (newRoot.isZero(tol)) {

@@ -533,9 +533,10 @@ std::string VerificationService::handleAppend(const Request& request) {
     } else {
         // Prepared target: the delta grows the circuit AND advances the
         // target, leaving the replay cursor behind for REVERIFY to catch
-        // up on incrementally.
-        entry.circuit.append(op);
+        // up on incrementally. Apply first: a gate the backend refuses
+        // must not enter the circuit, or every later REVERIFY replays it.
         backend_->apply(entry.target, op);
+        entry.circuit.append(op);
         reply += " kind=prepared ops=" + u64(entry.circuit.numOperations());
     }
     appended_.fetch_add(1, std::memory_order_relaxed);

@@ -395,10 +395,6 @@ EvalState DdBackend::zeroState(const Dimensions& dims) const {
 }
 
 EvalState DdBackend::runFromZero(const Circuit& circuit) const {
-    // Pin the configured width so the intra-diagram apply fan-out
-    // (dd/apply.cpp) sees it. No-op when called from inside a parallel
-    // region (e.g. batch workers), where the fan-out stays serial anyway.
-    const parallel::ScopedThreadCount threadScope(executionConfig().threads);
     return EvalState(session_->simulate(circuit));
 }
 
@@ -421,10 +417,6 @@ double DdBackend::preparationFidelity(const Circuit& circuit,
     // Concurrent batch items land here on pool workers and intern into the
     // same shared session: the table is sharded and safe for this
     // (dd/unique_table.hpp), and cross-item sharing is the point.
-    // Single-item callers get the intra-diagram apply fan-out instead: pin
-    // the configured width (a no-op on pool workers, which are already
-    // inside a region — there the fan-out stays serial).
-    const parallel::ScopedThreadCount threadScope(executionConfig().threads);
     const std::shared_ptr<dd::DdSession>& session = session_;
     const DecisionDiagram prepared = session->simulate(circuit);
     // Interning the target into the same session makes the overlap a
@@ -442,9 +434,7 @@ bool DdBackend::circuitsEquivalent(const Circuit& a, const Circuit& b, double to
     // Sharded MatrixDdStore, so concurrent batch items intern safely):
     // identity scaffolding and common gate structure are built once, and
     // two circuits that reduce to the same canonical operator
-    // short-circuit on root identity. The pinned width reaches multiply's
-    // intra-diagram fan-out (mdd/matrix_dd.cpp).
-    const parallel::ScopedThreadCount threadScope(executionConfig().threads);
+    // short-circuit on root identity.
     const MatrixDD lhs = MatrixDD::fromCircuit(a, tolerance_, matrixStore_);
     const MatrixDD rhs = MatrixDD::fromCircuit(b, tolerance_, matrixStore_);
     return lhs.equivalentUpToGlobalPhase(rhs, tol);

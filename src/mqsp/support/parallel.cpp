@@ -252,6 +252,7 @@ std::mutex globalMutex;
 // in-flight submitter releases it.
 std::shared_ptr<TaskPool> globalPoolPtr;
 unsigned globalThreadCount = 0; // 0 = not resolved yet
+std::atomic<std::uint64_t> poolRegions{0};
 
 /// Resolve (if needed) and return the global count; caller holds globalMutex.
 unsigned resolvedGlobalThreadsLocked() {
@@ -267,6 +268,8 @@ unsigned globalThreads() {
     const std::lock_guard<std::mutex> lock(globalMutex);
     return resolvedGlobalThreadsLocked();
 }
+
+std::uint64_t poolRegionCount() noexcept { return poolRegions.load(std::memory_order_relaxed); }
 
 ExecutionConfig globalExecutionConfig() { return ExecutionConfig{globalThreads()}; }
 
@@ -323,6 +326,7 @@ void runOnPool(std::uint64_t begin, std::uint64_t end, std::uint64_t grain, Chun
         chunk(begin, end);
         return;
     }
+    poolRegions.fetch_add(1, std::memory_order_relaxed);
     pool->run(begin, end, grain, chunk);
 }
 

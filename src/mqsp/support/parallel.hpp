@@ -64,6 +64,12 @@ void setGlobalThreads(unsigned threads);
 /// — the condition under which nested parallel calls run inline.
 [[nodiscard]] bool insideParallelRegion() noexcept;
 
+/// Number of parallel regions dispatched to a pool since process start
+/// (relaxed atomic, every thread). A region that runs inline — one grain,
+/// width 1, or nested — does not count. Deterministic for a given call
+/// sequence and width, so tests can assert that a path opens no region.
+[[nodiscard]] std::uint64_t poolRegionCount() noexcept;
+
 /// RAII: pin the process-wide thread count to `threads` for the current
 /// scope, restoring the previous count on exit. A request of 0 ("follow
 /// the ambient setting") and any request made from inside a parallel

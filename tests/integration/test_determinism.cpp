@@ -172,10 +172,9 @@ TEST(ThreadDeterminism, DensityReplayBitIdenticalAcrossThreadCounts) {
     }
 }
 
-// Synthesis is compute-parallel / emit-sequential (synth/synthesizer.cpp):
-// the cascade solves fan out, but emission replays the historical
-// traversal order, so the circuit — and its QASM text — must be
-// byte-identical at every thread count.
+// Synthesis is serial (synth/synthesizer.cpp), so the ambient width must
+// not reach it: the circuit — and its QASM text — must be byte-identical
+// at every thread count.
 TEST(ThreadDeterminism, SynthesisQasmByteIdenticalAcrossThreadCounts) {
     for (const auto& target : targets()) {
         const StateVector state = makeTarget(target);
@@ -418,8 +417,8 @@ struct SharedSessionFixture {
 
 /// Run the fixture's batch on a fresh backend pinned to `threads`; also
 /// build the cyclic and dicke targets as session diagrams first, so the
-/// level-synchronous parallel builders contribute to the session's node
-/// population at every thread count.
+/// memoized session builders contribute to the session's node population
+/// at every thread count.
 struct SharedSessionRun {
     std::vector<double> fidelities;
     std::uint64_t poolNodes = 0;
@@ -490,14 +489,11 @@ TEST(SharedSessionDeterminism, ItemOrderDoesNotChangeFidelitiesOrNodeCount) {
 
 // --- session-backed intra-apply determinism ----------------------------------
 //
-// Single-item DdBackend calls fan *within* one diagram: gate application
-// rebuilds all target-level nodes in parallel against the session's
-// sharded uniquing table (dd/apply.cpp), and equivalence checking fans
-// multiply's top-level product cells out on the shared operator store
-// (mdd/matrix_dd.cpp). Both compute in parallel and intern sequentially
-// in canonical order, so the session's `dd_nodes` and every fidelity are
-// functions of the work alone — invariant across thread counts and item
-// order, bit-for-bit.
+// Single-item DdBackend calls replay and verify one diagram serially on
+// the backend's shared session, whatever width the backend is configured
+// with. The session's `dd_nodes` and every fidelity are functions of the
+// work alone — invariant across thread counts and item order, bit-for-bit.
+// A backend configured wider must not change a single bit of either.
 
 struct SessionApplyFixture {
     std::vector<StateVector> denseTargets;
@@ -586,6 +582,79 @@ TEST(SessionApplyDeterminism, ItemOrderDoesNotChangeFidelitiesOrNodeCount) {
             << "verify item " << i;
     }
     EXPECT_EQ(reversed.poolNodes, forward.poolNodes);
+}
+
+// --- pool regions --------------------------------------------------------
+//
+// A DD diagram is tens to hundreds of nodes, far too small to repay a pool
+// dispatch, so every single-item dd path — replay, verification,
+// equivalence, synthesis and the session's structured builders — runs on
+// the calling thread at any width. The pool-region counter pins that
+// without a timing gate: a fan-out reintroduced inside one item opens a
+// region here and fails. The dense replay check proves the counter live.
+
+/// Pool regions opened while running `body`.
+template <typename Body>
+std::uint64_t poolRegionsDuring(Body&& body) {
+    const std::uint64_t before = parallel::poolRegionCount();
+    body();
+    return parallel::poolRegionCount() - before;
+}
+
+TEST(PoolRegions, SingleItemDdPathsOpenNoRegionAtWidthFour) {
+    const ScopedThreads scope(4);
+    const Dimensions dims{9, 5, 6, 3};
+    Rng rng(2024);
+    const StateVector target = states::random(dims, rng);
+    const DecisionDiagram diagram = DecisionDiagram::fromStateVector(target);
+    const DdBackend backend(Tolerance::kDefault, parallel::ExecutionConfig{4});
+    const auto session = backend.ddSession();
+
+    Circuit circuit(dims);
+    double replayNorm = 0.0;
+    double fidelity = 0.0;
+    bool equivalent = false;
+    double cyclicNorm = 0.0;
+    double dickeNorm = 0.0;
+    EXPECT_EQ(poolRegionsDuring([&] { circuit = synthesize(diagram); }), 0U) << "synthesize";
+    EXPECT_EQ(poolRegionsDuring(
+                  [&] { replayNorm = backend.runFromZero(circuit).normSquared(); }),
+              0U)
+        << "runFromZero";
+    EXPECT_EQ(poolRegionsDuring(
+                  [&] { fidelity = backend.preparationFidelity(circuit, EvalState(target)); }),
+              0U)
+        << "preparationFidelity";
+    EXPECT_EQ(poolRegionsDuring(
+                  [&] { equivalent = backend.circuitsEquivalent(circuit, circuit); }),
+              0U)
+        << "circuitsEquivalent";
+    EXPECT_EQ(poolRegionsDuring([&] {
+                  cyclicNorm = session->cyclicState(dims, {1, 0, 2, 0}, 30).normSquared();
+              }),
+              0U)
+        << "cyclicState";
+    EXPECT_EQ(poolRegionsDuring(
+                  [&] { dickeNorm = session->dickeState(dims, 6).normSquared(); }),
+              0U)
+        << "dickeState";
+
+    EXPECT_NEAR(replayNorm, 1.0, 1e-9);
+    EXPECT_NEAR(fidelity, 1.0, 1e-9);
+    EXPECT_TRUE(equivalent);
+    EXPECT_NEAR(cyclicNorm, 1.0, 1e-9);
+    EXPECT_NEAR(dickeNorm, 1.0, 1e-9);
+}
+
+TEST(PoolRegions, DenseReplayOfAMillionAmplitudesOpensRegions) {
+    const ScopedThreads scope(4);
+    Circuit circuit(Dimensions(20, 2));
+    circuit.append(Operation::hadamard(0));
+    circuit.append(Operation::hadamard(19));
+    double norm = 0.0;
+    EXPECT_GE(poolRegionsDuring([&] { norm = Simulator::runFromZero(circuit).normSquared(); }),
+              1U);
+    EXPECT_NEAR(norm, 1.0, 1e-9);
 }
 
 } // namespace

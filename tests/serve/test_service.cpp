@@ -408,6 +408,27 @@ TEST(ServeStream, NonFiniteAnglesAnswerOneErrAndLeaveTheCursor) {
     EXPECT_EQ(uintField(ok(service, "STATS?"), "appended"), 1U);
 }
 
+TEST(ServeStream, RefusedAppendLeavesThePreparedCircuitUntouched) {
+    VerificationService service;
+    ok(service, "PREP:GHZ --dims 3,6,2");
+    const std::uint64_t total = uintField(ok(service, "REVERIFY"), "total_ops");
+
+    // The dd backend refuses a control below its target. The refusal is one
+    // ERR line, and the gate must not enter the circuit: a later REVERIFY
+    // would otherwise replay it and fail for good.
+    const std::string refused =
+        err(service, "APPEND --gate h q[0] ctl q[2]=1;", "more significant");
+    EXPECT_EQ(refused.find('\n'), std::string::npos) << refused;
+
+    const std::string grown = ok(service, "APPEND --gate swp q[2] (0, 1);");
+    EXPECT_EQ(uintField(grown, "ops"), total + 1);
+
+    const std::string reverify = ok(service, "REVERIFY");
+    EXPECT_EQ(uintField(reverify, "delta_ops"), 1U);
+    EXPECT_EQ(uintField(reverify, "total_ops"), total + 1);
+    EXPECT_EQ(field(reverify, "fidelity"), "1.000000000");
+}
+
 TEST(ServeStream, BadStreamInputKeepsServing) {
     VerificationService service;
     err(service, "STREAM", "STREAM requires --dims");

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace mqsp {
 namespace {
 
@@ -138,6 +140,13 @@ struct SynthesizerCase {
     std::string name;
     Dimensions dims;
 };
+
+// Without this, gtest prints a case as a raw byte dump that includes the
+// heap address of `name`, so `--gtest_list_tests` changes on every run. The
+// case name is already the test-name suffix; the register is what's left.
+void PrintTo(const SynthesizerCase& param, std::ostream* os) {
+    *os << formatDimensionSpec(param.dims);
+}
 
 class SynthesizerFidelityProperty : public ::testing::TestWithParam<SynthesizerCase> {};
 

@@ -14,9 +14,9 @@
 set(golden_file ${GOLDEN_DIR}/${CASE_NAME}.qasm)
 set(actual_suffix ${CASE_NAME})
 if(DEFINED PREP_THREADS)
-  # Thread variants diff against the SAME golden file — synthesis is
-  # compute-parallel / emit-sequential, so the QASM must be byte-identical
-  # at any --threads. Only the scratch file name gets a suffix (the t1 and
+  # Thread variants diff against the SAME golden file — the width must
+  # not reach synthesis, so the QASM must be byte-identical at any
+  # --threads. Only the scratch file name gets a suffix (the t1 and
   # tN tests may run concurrently under ctest -j).
   set(actual_suffix ${CASE_NAME}_t${PREP_THREADS})
 endif()

@@ -60,10 +60,10 @@ void usage() {
   --optimize           run the peephole optimizer on the result
   --backend <name>     evaluation substrate: dense | dd | auto (default auto;
                        dd scales past the dense memory ceiling)
-  --threads <n>        worker threads for the dense kernels and the DD
-                       session builders (default: the MQSP_THREADS env var,
-                       else hardware concurrency; 1 = single-threaded —
-                       results are bit-identical at any count)
+  --threads <n>        worker threads for the dense kernels (default: the
+                       MQSP_THREADS env var, else hardware concurrency;
+                       1 = single-threaded — results are bit-identical at
+                       any count)
   --qasm               print the circuit in MQSP-QASM
   --verify             replay on the selected backend and report the fidelity
   --noise <eps>        replay under depolarizing noise on the density-matrix
