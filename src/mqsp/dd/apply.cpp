@@ -269,19 +269,7 @@ void DecisionDiagram::applyOperation(const Operation& op, double tol) {
 }
 
 DecisionDiagram DecisionDiagram::simulateCircuit(const Circuit& circuit, double tol) {
-    DecisionDiagram dd = zeroState(circuit.dimensions());
-    for (const auto& op : circuit.operations()) {
-        dd.applyOperation(op, tol);
-        // On a private store applyOperation rebuilds affected paths
-        // copy-on-write without hash-consing, so identical sub-trees
-        // proliferate: without re-sharing, a product-state superposition
-        // (e.g. the uniform state mid-preparation) would blow up to the
-        // full exponential tree. Reduce after every gate to keep the
-        // diagram canonical-small, then drop the disconnected garbage.
-        dd.reduce(tol);
-        dd.garbageCollect();
-    }
-    return dd;
+    return dd::DdSession(tol).simulate(circuit);
 }
 
 DecisionDiagram DecisionDiagram::simulateCircuitOn(
@@ -291,10 +279,9 @@ DecisionDiagram DecisionDiagram::simulateCircuitOn(
         basisStateOn(store, circuit.dimensions(),
                      Digits(MixedRadix(circuit.dimensions()).numQudits(), 0));
     for (const auto& op : circuit.operations()) {
-        // Interning keeps every allocation canonical, so the per-gate
-        // reduce of the private path is structurally a no-op here, and
-        // intermediates stay in the session pool for later gates (and
-        // later diagrams) to hit.
+        // Interning keeps every allocation canonical, so no per-gate
+        // reduction is needed, and intermediates stay in the session pool
+        // for later gates (and later diagrams) to hit.
         dd.applyOperation(op, tol);
     }
     return dd;

@@ -193,11 +193,13 @@ public:
 
     /// Merge structurally identical sub-trees bottom-up (hash-consing); the
     /// diagram becomes a DAG and shared sub-trees are stored once (§4.3's
-    /// reduction). Returns the number of nodes eliminated.
+    /// reduction). A private diagram is rebuilt onto a fresh dd::DdSession
+    /// (DdSession::intern): afterwards it is session-backed, immutable in
+    /// place, and its pool holds exactly the reachable nodes plus the
+    /// terminal, numbered in depth-first post-order. A session-backed
+    /// diagram is already reduced. Returns the number of internal nodes
+    /// eliminated.
     std::size_t reduce(double tol = Tolerance::kDefault);
-
-    /// Drop unreachable pool entries, compacting storage.
-    void garbageCollect();
 
     /// --- gate application (apply.cpp) -------------------------------------
 
@@ -212,6 +214,8 @@ public:
     void applyOperation(const Operation& op, double tol = Tolerance::kDefault);
 
     /// Run a whole circuit on the |0...0> diagram — DD-native simulation.
+    /// Same as dd::DdSession(tol).simulate(circuit): the result lives on
+    /// that fresh session.
     [[nodiscard]] static DecisionDiagram simulateCircuit(const Circuit& circuit,
                                                          double tol = Tolerance::kDefault);
 
@@ -251,10 +255,11 @@ public:
 
     /// Cyclic state (cf. states::cyclic): equal superposition of the
     /// distinct cyclic shifts of `start`, shift k adding k to every digit
-    /// modulo its own dimension. Returned *reduced*: shifts that agree on a
-    /// digit prefix share the node deciding it (memoized on the surviving
-    /// shift set), so the diagram is O(#shifts * numQudits) worst case and
-    /// usually far smaller.
+    /// modulo its own dimension. Returned *reduced*: the node deciding a
+    /// site depends only on the surviving shifts modulo the lcm of the
+    /// remaining dimensions, and is memoized on that residue set, so the
+    /// diagram is O(#shifts * numQudits) worst case and usually far
+    /// smaller.
     [[nodiscard]] static DecisionDiagram cyclicState(const Dimensions& dims,
                                                      const Digits& start,
                                                      std::uint32_t count);
@@ -312,9 +317,9 @@ private:
     [[nodiscard]] DDNode& mutableNode(NodeRef ref);
     NodeRef allocate(std::uint32_t site, std::vector<DDEdge> edges);
 
-    /// Reachable-only deep copy onto a fresh private store (the diagram a
-    /// session-backed one serializes as; identical semantics to
-    /// garbageCollect on a private diagram).
+    /// Reachable-only deep copy onto a fresh private store, numbered in
+    /// depth-first post-order (the diagram a session-backed one serializes
+    /// as).
     [[nodiscard]] DecisionDiagram compactedCopy() const;
 
     /// Store-parameterized builder cores (structured.cpp / apply.cpp); the

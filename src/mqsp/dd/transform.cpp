@@ -3,7 +3,6 @@
 #include "mqsp/support/error.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <functional>
 #include <unordered_map>
 #include <vector>
@@ -88,84 +87,22 @@ void DecisionDiagram::normalizeRoot() {
 }
 
 std::size_t DecisionDiagram::reduce(double tol) {
-    if (root_ == kNoNode) {
+    if (root_ == kNoNode || sessionBacked()) {
+        // Session-backed diagrams are hash-consed at allocation time: every
+        // node is already canonical.
         return 0;
     }
-    if (store_->interning()) {
-        // Session-backed diagrams are hash-consed at allocation time with
-        // the same key scheme reduce uses: every node is already canonical,
-        // and the in-place edge rewiring below would corrupt diagrams
-        // sharing the store.
-        return 0;
-    }
-    // Bottom-up hash-consing through the uniquing table (same open-
-    // addressed machinery as a session store, scoped to this one pass).
+    // The reduction rule is hash-consing, and interning is the one place
+    // that does it: rebuild the tree bottom-up through a fresh session.
     // Because weights were normalized by a fixed scheme during construction
     // (§4.2: "normalized by a fixed scheme to ensure canonicity"),
     // structurally identical sub-trees have identical weights and merge
-    // exactly; the tolerance only absorbs rounding.
-    dd::UniqueTable unique(tol);
-    std::unordered_map<NodeRef, NodeRef> canonical;
-
-    const std::function<NodeRef(NodeRef)> visit = [&](NodeRef ref) -> NodeRef {
-        if (node(ref).isTerminal()) {
-            return ref;
-        }
-        if (const auto it = canonical.find(ref); it != canonical.end()) {
-            return it->second;
-        }
-        auto& n = mutableNode(ref);
-        for (auto& edge : n.edges) {
-            if (!edge.isZeroStub()) {
-                edge.node = visit(edge.node);
-            }
-        }
-        const NodeRef merged = unique.findOrInsert(n.site, n.edges, ref);
-        canonical.emplace(ref, merged);
-        return merged;
-    };
-
+    // exactly; the tolerance only absorbs rounding. The rebuild allocates
+    // in post-order and keeps the first-seen twin, so the result holds
+    // exactly the reachable nodes, numbered in depth-first post-order.
     const std::size_t reachableBefore = nodeCount(NodeCountMode::Internal);
-    root_ = visit(root_);
-    const std::size_t reachableAfter = nodeCount(NodeCountMode::Internal);
-    return reachableBefore - reachableAfter;
-}
-
-void DecisionDiagram::garbageCollect() {
-    if (!store_ || store_->size() == 0) {
-        return;
-    }
-    if (store_->interning()) {
-        // Node lifetime on a shared store belongs to the session, not to
-        // any one diagram: compaction would remap refs under every sibling.
-        return;
-    }
-    std::vector<NodeRef> remap(store_->size(), kNoNode);
-    std::vector<DDNode> kept;
-    kept.reserve(store_->size());
-
-    // Keep the terminal at slot 0 unconditionally.
-    remap[0] = 0;
-    kept.push_back(node(0));
-
-    if (root_ != kNoNode) {
-        const std::function<NodeRef(NodeRef)> visit = [&](NodeRef ref) -> NodeRef {
-            if (remap[ref] != kNoNode) {
-                return remap[ref];
-            }
-            DDNode copy = node(ref);
-            for (auto& edge : copy.edges) {
-                if (!edge.isZeroStub()) {
-                    edge.node = visit(edge.node);
-                }
-            }
-            kept.push_back(std::move(copy));
-            remap[ref] = static_cast<NodeRef>(kept.size() - 1);
-            return remap[ref];
-        };
-        root_ = visit(root_);
-    }
-    store_->replaceNodes(std::move(kept));
+    *this = dd::DdSession(tol).intern(*this);
+    return reachableBefore - nodeCount(NodeCountMode::Internal);
 }
 
 } // namespace mqsp

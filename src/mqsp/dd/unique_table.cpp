@@ -57,11 +57,10 @@ thread_local ScratchKey tlsScratch;
 
 } // namespace
 
-UniqueTable::UniqueTable(double tolerance, std::size_t initialCapacity, Concurrency concurrency)
+UniqueTable::UniqueTable(double tolerance, std::size_t initialCapacity)
     : tolerance_(tolerance),
       initialShardCapacity_(roundUpPowerOfTwo(
-          std::max<std::size_t>(initialCapacity / kShardCount, 16))),
-      sharded_(concurrency == Concurrency::Sharded) {
+          std::max<std::size_t>(initialCapacity / kShardCount, 16))) {
     requireThat(tolerance > 0.0, "UniqueTable: tolerance must be positive");
 }
 
@@ -104,12 +103,9 @@ void UniqueTable::growShard(Shard& shard) {
 
 NodeRef UniqueTable::probeShard(Shard& shard, std::uint64_t hash, std::uint32_t site,
                                 const NodeRef* children, const std::int64_t* re,
-                                const std::int64_t* im, std::size_t arity, NodeRef fresh,
-                                const detail::MakeNodeFnRef* makeFresh) {
-    std::unique_lock<std::mutex> lock(shard.mutex, std::defer_lock);
-    if (sharded_) {
-        lock.lock();
-    }
+                                const std::int64_t* im, std::size_t arity,
+                                const detail::MakeNodeFnRef& makeFresh) {
+    const std::lock_guard<std::mutex> lock(shard.mutex);
     // Grow ahead of the insert that would cross the 0.7 load factor (the
     // first lookup allocates the initial slot array).
     if (shard.slots.empty() || (shard.entryHash.size() + 1) * 10 >= shard.slots.size() * 7) {
@@ -129,15 +125,10 @@ NodeRef UniqueTable::probeShard(Shard& shard, std::uint64_t hash, std::uint32_t 
         slot = (slot + 1) & mask;
     }
     ++shard.stats.misses;
-    if (makeFresh == nullptr && fresh == kNoNode) {
-        // Pure lookup: report the miss without recording a key.
-        return kNoNode;
-    }
-    // Allocate under the shard lock (concurrent protocol) or take the
-    // caller's tentative node (single-threaded protocol); either way the
-    // key copy below happens before the lock is released, so the next
-    // prober of this key sees the canonical entry.
-    const NodeRef value = makeFresh != nullptr ? (*makeFresh)() : fresh;
+    // Allocate under the shard lock; the key copy below happens before the
+    // lock is released, so the next prober of this key sees the canonical
+    // entry.
+    const NodeRef value = makeFresh();
     const std::uint64_t offset = shard.keyChildren.size();
     shard.keyChildren.insert(shard.keyChildren.end(), children, children + arity);
     shard.keyRe.insert(shard.keyRe.end(), re, re + arity);
@@ -153,7 +144,7 @@ NodeRef UniqueTable::probeShard(Shard& shard, std::uint64_t hash, std::uint32_t 
 
 NodeRef UniqueTable::dispatch(std::uint32_t site, const NodeRef* children,
                               const Complex* weights, const DDEdge* edges, std::size_t arity,
-                              NodeRef fresh, const detail::MakeNodeFnRef* makeFresh) {
+                              const detail::MakeNodeFnRef& makeFresh) {
     ScratchKey& scratch = tlsScratch;
     scratch.children.resize(arity);
     scratch.re.resize(arity);
@@ -169,36 +160,23 @@ NodeRef UniqueTable::dispatch(std::uint32_t site, const NodeRef* children,
         hashKey(site, scratch.children.data(), scratch.re.data(), scratch.im.data(), arity);
     Shard& shard = shards_[(hash >> 60U) & (kShardCount - 1)];
     return probeShard(shard, hash, site, scratch.children.data(), scratch.re.data(),
-                      scratch.im.data(), arity, fresh, makeFresh);
-}
-
-NodeRef UniqueTable::findOrInsert(std::uint32_t site, const std::vector<DDEdge>& edges,
-                                  NodeRef fresh) {
-    return dispatch(site, nullptr, nullptr, edges.data(), edges.size(), fresh, nullptr);
-}
-
-NodeRef UniqueTable::findOrInsertRaw(std::uint32_t site, const NodeRef* children,
-                                     const Complex* weights, std::size_t arity, NodeRef fresh) {
-    return dispatch(site, children, weights, nullptr, arity, fresh, nullptr);
+                      scratch.im.data(), arity, makeFresh);
 }
 
 NodeRef UniqueTable::findOrInsert(std::uint32_t site, const std::vector<DDEdge>& edges,
                                   const detail::MakeNodeFnRef& makeFresh) {
-    return dispatch(site, nullptr, nullptr, edges.data(), edges.size(), kNoNode, &makeFresh);
+    return dispatch(site, nullptr, nullptr, edges.data(), edges.size(), makeFresh);
 }
 
 NodeRef UniqueTable::findOrInsertRaw(std::uint32_t site, const NodeRef* children,
                                      const Complex* weights, std::size_t arity,
                                      const detail::MakeNodeFnRef& makeFresh) {
-    return dispatch(site, children, weights, nullptr, arity, kNoNode, &makeFresh);
+    return dispatch(site, children, weights, nullptr, arity, makeFresh);
 }
 
 void UniqueTable::clear() {
     for (Shard& shard : shards_) {
-        std::unique_lock<std::mutex> lock(shard.mutex, std::defer_lock);
-        if (sharded_) {
-            lock.lock();
-        }
+        const std::lock_guard<std::mutex> lock(shard.mutex);
         // Keep the slot capacity (the rebuild re-inserts into a table of
         // comparable size) and the cumulative stats (a GC is not a reset
         // of the session's history).
@@ -229,10 +207,7 @@ void UniqueTable::restoreCanonical(std::uint32_t site, const std::vector<DDEdge>
     const std::uint64_t hash =
         hashKey(site, scratch.children.data(), scratch.re.data(), scratch.im.data(), arity);
     Shard& shard = shards_[(hash >> 60U) & (kShardCount - 1)];
-    std::unique_lock<std::mutex> lock(shard.mutex, std::defer_lock);
-    if (sharded_) {
-        lock.lock();
-    }
+    const std::lock_guard<std::mutex> lock(shard.mutex);
     if (shard.slots.empty() || (shard.entryHash.size() + 1) * 10 >= shard.slots.size() * 7) {
         growShard(shard);
     }
@@ -257,10 +232,7 @@ void UniqueTable::restoreCanonical(std::uint32_t site, const std::vector<DDEdge>
 UniqueTableStats UniqueTable::stats() const {
     UniqueTableStats total;
     for (const Shard& shard : shards_) {
-        std::unique_lock<std::mutex> lock(shard.mutex, std::defer_lock);
-        if (sharded_) {
-            lock.lock();
-        }
+        const std::lock_guard<std::mutex> lock(shard.mutex);
         total.lookups += shard.stats.lookups;
         total.hits += shard.stats.hits;
         total.misses += shard.stats.misses;
@@ -273,10 +245,7 @@ UniqueTableStats UniqueTable::stats() const {
 std::size_t UniqueTable::size() const {
     std::size_t total = 0;
     for (const Shard& shard : shards_) {
-        std::unique_lock<std::mutex> lock(shard.mutex, std::defer_lock);
-        if (sharded_) {
-            lock.lock();
-        }
+        const std::lock_guard<std::mutex> lock(shard.mutex);
         total += shard.entryHash.size();
     }
     return total;
@@ -285,10 +254,7 @@ std::size_t UniqueTable::size() const {
 std::size_t UniqueTable::capacity() const {
     std::size_t total = 0;
     for (const Shard& shard : shards_) {
-        std::unique_lock<std::mutex> lock(shard.mutex, std::defer_lock);
-        if (sharded_) {
-            lock.lock();
-        }
+        const std::lock_guard<std::mutex> lock(shard.mutex);
         total += shard.slots.size();
     }
     return total;
@@ -296,10 +262,7 @@ std::size_t UniqueTable::capacity() const {
 
 void UniqueTable::resetStats() {
     for (Shard& shard : shards_) {
-        std::unique_lock<std::mutex> lock(shard.mutex, std::defer_lock);
-        if (sharded_) {
-            lock.lock();
-        }
+        const std::lock_guard<std::mutex> lock(shard.mutex);
         shard.stats = UniqueTableStats{};
     }
 }
@@ -449,9 +412,7 @@ void ComputeCache::resetStats() noexcept {
 DdNodeStore::DdNodeStore(Mode mode, double tolerance)
     : mode_(mode),
       tolerance_(tolerance),
-      table_(tolerance, /*initialCapacity=*/256,
-             mode == Mode::Interning ? UniqueTable::Concurrency::Sharded
-                                     : UniqueTable::Concurrency::Serial),
+      table_(tolerance),
       computeCache_(tolerance) {
     // Pool slot 0 is the unique terminal node.
     pool_.append(DDNode{DDNode::kTerminalSite, {}});
@@ -499,20 +460,10 @@ NodeRef DdNodeStore::allocate(std::uint32_t site, std::vector<DDEdge> edges) {
     return table_.findOrInsert(site, edges, detail::MakeNodeFnRef(makeFresh));
 }
 
-void DdNodeStore::replaceNodes(std::vector<DDNode> nodes) {
-    requireThat(!interning(),
-                "DdNodeStore: pool replacement is forbidden on a session-shared store");
-    pool_.clear();
-    for (DDNode& node : nodes) {
-        pool_.append(std::move(node));
-    }
-}
-
 DdNodeStore::CompactionStats DdNodeStore::compactLive(const std::vector<NodeRef>& roots,
                                                       std::vector<NodeRef>& remapOut) {
     requireThat(interning(),
-                "DdNodeStore::compactLive: session GC applies to interning stores "
-                "(private diagrams use DecisionDiagram::garbageCollect)");
+                "DdNodeStore::compactLive: session GC applies to interning stores");
     CompactionStats stats;
     const std::size_t before = pool_.size();
     stats.nodesBefore = before;

@@ -6,31 +6,34 @@
 // DD addition, and the `DdSession` that owns both for the lifetime of a
 // backend.
 //
-// Two allocation regimes share one node-pool abstraction (`DdNodeStore`):
+// Interning is the only way a diagram becomes canonical. One node-pool
+// abstraction (`DdNodeStore`) has two modes:
 //
-//  * a *private* store backs one diagram, appends nodes without uniquing,
-//    and preserves the historical tree semantics exactly — `fromStateVector`
-//    trees, the approximation pass (which mutates nodes in place), and
-//    everything the existing test suite pins;
+//  * a *private* store backs one mutable tree: `fromStateVector` trees and
+//    the other private builders, and the approximation pass, which cuts and
+//    renormalizes nodes in place. It appends nodes without uniquing and
+//    never compacts; `DecisionDiagram::reduce()` moves a private tree onto a
+//    fresh session (see below) instead of rewiring it in place;
 //  * an *interning* store is shared by every diagram a `DdSession` touches
-//    (targets, replayed states, per-gate intermediates). Allocation goes
-//    through the uniquing table, so a structurally identical sub-tree is
-//    built once per session no matter how many diagrams request it, and the
-//    diagrams come out canonical (reduced) by construction. Nodes in an
-//    interning store are immutable once allocated: in-place mutators
-//    (cutEdge/renormalize) refuse, copies of session diagrams share the
-//    store, and lifetime is owned by the session, not by any one diagram.
+//    (targets, replayed states, per-gate intermediates, reduced trees).
+//    Allocation goes through the uniquing table, so a structurally
+//    identical sub-tree is built once per session no matter how many
+//    diagrams request it, and the diagrams come out canonical (reduced) by
+//    construction. Nodes in an interning store are immutable once
+//    allocated: in-place mutators (cutEdge/renormalize) refuse, copies of
+//    session diagrams share the store, and lifetime is owned by the
+//    session, not by any one diagram.
 //
 // Concurrency model (the multicore substrate behind verifyBatch):
 //
 //  * The table is split into kShardCount shards selected by the top bits of
 //    the key hash (slot probing uses the low bits, so shard choice and slot
-//    distribution are independent). An interning store constructs its table
-//    `Sharded`: findOrInsert takes the owning shard's mutex, so concurrent
-//    batch items intern into one shared pool and a distinct structural key
-//    maps to exactly one NodeRef regardless of interleaving. Serial tables
-//    (private stores, reduce()'s transient table) run the same code without
-//    locking.
+//    distribution are independent). Every table locks: findOrInsert takes
+//    the owning shard's mutex and allocates the node under it, so
+//    concurrent batch items intern into one shared pool and a distinct
+//    structural key maps to exactly one NodeRef regardless of
+//    interleaving. Single-threaded callers pay one uncontended lock per
+//    probe.
 //  * Nodes live in a chunked pool with geometrically growing blocks; a
 //    node's address never changes once allocated, so readers follow NodeRefs
 //    out of edges without any pool-wide lock. Block pointers are published
@@ -128,7 +131,7 @@ private:
 /// calls it under a shard mutex; distinct shards race); `size()` is the
 /// number of reserved slots and, once the racing appends have been
 /// published, the number of constructed nodes. `clear`/`copyFrom` are
-/// single-threaded (private-store maintenance only).
+/// single-threaded (session GC and private-store copies only).
 template <typename NodeT>
 class ChunkedNodePool {
 public:
@@ -262,42 +265,20 @@ struct ComputeCacheStats {
 /// `probeSteps` (probe-order dependent) may vary between concurrent runs.
 class UniqueTable {
 public:
-    /// Locking regime, fixed at construction.
-    enum class Concurrency : std::uint8_t {
-        Serial,  ///< single-threaded callers: no locking (private stores,
-                 ///< reduce()'s transient tables)
-        Sharded, ///< findOrInsert* take the owning shard's mutex; safe for
-                 ///< concurrent use (interning stores)
-    };
-
-    explicit UniqueTable(double tolerance, std::size_t initialCapacity = 256,
-                         Concurrency concurrency = Concurrency::Serial);
+    explicit UniqueTable(double tolerance, std::size_t initialCapacity = 256);
 
     UniqueTable(const UniqueTable&) = delete;
     UniqueTable& operator=(const UniqueTable&) = delete;
 
-    /// Canonical ref for (site, edges): the existing entry when one
-    /// matches, else `fresh` — which the caller must have just allocated —
-    /// recorded as the canonical node for this key. Returns the canonical
-    /// ref; `fresh == kNoNode` performs a pure lookup (returns kNoNode on
-    /// miss without recording anything, and without counting a miss).
-    /// Single-threaded protocol: the caller pops its tentative node when
-    /// the return value differs from `fresh`. Concurrent interners use the
-    /// MakeNodeFnRef overload instead.
-    NodeRef findOrInsert(std::uint32_t site, const std::vector<DDEdge>& edges, NodeRef fresh);
-
-    /// findOrInsert for operator-DD edge lists (node + weight pairs laid
-    /// out as DDEdge without the pruned flag — see MatrixDdStore).
-    NodeRef findOrInsertRaw(std::uint32_t site, const NodeRef* children,
-                            const Complex* weights, std::size_t arity, NodeRef fresh);
-
-    /// Interning protocol: probe under the shard lock and, on a miss, call
-    /// `makeFresh()` — still under the lock — to allocate the node and
-    /// record its ref as canonical. Exactly one allocation happens per
-    /// distinct key however many threads race on it, and no tentative node
-    /// is ever created for a key that hits.
+    /// Canonical ref for (site, edges): probe under the shard lock and, on a
+    /// miss, call `makeFresh()` — still under the lock — to allocate the
+    /// node and record its ref as canonical. Exactly one allocation happens
+    /// per distinct key however many threads race on it, and no tentative
+    /// node is ever created for a key that hits.
     NodeRef findOrInsert(std::uint32_t site, const std::vector<DDEdge>& edges,
                          const detail::MakeNodeFnRef& makeFresh);
+    /// findOrInsert for operator-DD edge lists (node + weight pairs laid
+    /// out as DDEdge without the pruned flag — see MatrixDdStore).
     NodeRef findOrInsertRaw(std::uint32_t site, const NodeRef* children,
                             const Complex* weights, std::size_t arity,
                             const detail::MakeNodeFnRef& makeFresh);
@@ -315,8 +296,8 @@ public:
     /// that were interned (and therefore structurally distinct) before.
     void restoreCanonical(std::uint32_t site, const std::vector<DDEdge>& edges, NodeRef value);
 
-    /// Counters summed over the shards (by value: a Sharded table's shards
-    /// are locked one at a time, so the sum is a consistent snapshot only
+    /// Counters summed over the shards (by value: the shards are locked one
+    /// at a time, so the sum is a consistent snapshot only
     /// at quiescence — which is when the session metrics are read).
     [[nodiscard]] UniqueTableStats stats() const;
     [[nodiscard]] std::size_t size() const;
@@ -324,8 +305,8 @@ public:
     [[nodiscard]] double tolerance() const noexcept { return tolerance_; }
     void resetStats();
 
-    /// Weight-bucketing shared with the historical reduce(): values within
-    /// one tolerance bucket are treated as the same canonical weight.
+    /// Weight bucketing of the key: values within one tolerance bucket are
+    /// treated as the same canonical weight.
     [[nodiscard]] static std::int64_t bucketOf(double value, double tolerance);
 
 private:
@@ -346,7 +327,7 @@ private:
         std::vector<std::int64_t> keyIm;
 
         UniqueTableStats stats;
-        mutable std::mutex mutex; ///< taken only by Sharded tables
+        mutable std::mutex mutex;
     };
 
     /// Power-of-two shard count; the shard index is the hash's top nibble,
@@ -357,19 +338,17 @@ private:
                                            std::uint32_t site, const NodeRef* children,
                                            const std::int64_t* re, const std::int64_t* im,
                                            std::size_t arity) noexcept;
-    /// Probe `shard` (locking it first when Sharded) for the given key.
+    /// Probe `shard` under its lock for the given key.
     NodeRef probeShard(Shard& shard, std::uint64_t hash, std::uint32_t site,
                        const NodeRef* children, const std::int64_t* re, const std::int64_t* im,
-                       std::size_t arity, NodeRef fresh,
-                       const detail::MakeNodeFnRef* makeFresh);
+                       std::size_t arity, const detail::MakeNodeFnRef& makeFresh);
     void growShard(Shard& shard);
     NodeRef dispatch(std::uint32_t site, const NodeRef* children, const Complex* weights,
-                     const DDEdge* edges, std::size_t arity, NodeRef fresh,
-                     const detail::MakeNodeFnRef* makeFresh);
+                     const DDEdge* edges, std::size_t arity,
+                     const detail::MakeNodeFnRef& makeFresh);
 
     double tolerance_;
     std::size_t initialShardCapacity_;
-    bool sharded_;
     std::array<Shard, kShardCount> shards_;
 };
 
@@ -469,7 +448,7 @@ private:
 class DdNodeStore {
 public:
     enum class Mode {
-        Private,   ///< one diagram, append-only, in-place mutation allowed
+        Private,   ///< one mutable tree, append-only, in-place mutation allowed
         Interning, ///< session-shared, hash-consed, nodes immutable
     };
 
@@ -494,9 +473,6 @@ public:
     /// insertion race receive the winner's canonical ref.
     NodeRef allocate(std::uint32_t site, std::vector<DDEdge> edges);
 
-    /// Replace the whole pool (garbageCollect on a private store).
-    void replaceNodes(std::vector<DDNode> nodes);
-
     /// What one mark-and-compact pass did (see compactLive).
     struct CompactionStats {
         std::size_t nodesBefore = 0;
@@ -504,8 +480,7 @@ public:
         std::uint64_t cacheEvicted = 0;
     };
 
-    /// Session GC (interning stores only — private diagrams use
-    /// DecisionDiagram::garbageCollect): mark every node reachable from
+    /// Session GC (interning stores only): mark every node reachable from
     /// `roots` (the terminal is always live), compact the pool to the
     /// survivors in ascending-ref order — so the compacted pool is
     /// deterministic whenever the pre-GC pool was — rebuild the uniquing
@@ -589,14 +564,18 @@ public:
     [[nodiscard]] DecisionDiagram dickeState(const Dimensions& dims,
                                              std::uint64_t weight) const;
 
-    /// DD-native replay of a circuit from |0...0> on the shared store.
-    /// Interning keeps every intermediate canonical, so no per-gate
-    /// reduce/garbage-collect pass is needed (or performed).
+    /// DD-native replay of a circuit from |0...0> on the shared store — the
+    /// one replay path (DecisionDiagram::simulateCircuit runs it on a fresh
+    /// session). Interning keeps every intermediate canonical, and
+    /// intermediates stay in the pool for later gates and diagrams to hit.
     [[nodiscard]] DecisionDiagram simulate(const Circuit& circuit) const;
 
     /// Import a foreign diagram: rebuild its reachable nodes through the
-    /// session table (bottom-up, memoized). Sub-trees the session has
-    /// already built elsewhere come back as table hits.
+    /// session table (bottom-up, memoized, in post-order). Sub-trees the
+    /// session has already built elsewhere come back as table hits, and a
+    /// structural twin resolves to the first-seen node. O(1) for a diagram
+    /// already on this session. On a fresh session this is
+    /// DecisionDiagram::reduce().
     [[nodiscard]] DecisionDiagram intern(const DecisionDiagram& diagram) const;
 
     /// Mark-and-compact the session store down to the diagrams in `live`

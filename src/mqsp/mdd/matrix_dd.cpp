@@ -20,8 +20,7 @@ thread_local std::vector<Complex> tlsWeights;
 
 // --- MatrixDdStore ---------------------------------------------------------
 
-MatrixDdStore::MatrixDdStore(double tolerance, dd::UniqueTable::Concurrency concurrency)
-    : table_(tolerance, /*initialCapacity=*/256, concurrency) {
+MatrixDdStore::MatrixDdStore(double tolerance) : table_(tolerance) {
     // Pool slot 0 is the unique terminal node.
     pool_.append(Node{kTerminalSite, {}});
 }

@@ -19,10 +19,10 @@ namespace mqsp {
 /// operator a session touches (DdBackend's equivalence path): nodes are
 /// append-only and immutable, all allocation goes through the same
 /// open-addressed dd::UniqueTable as the vector-DD session store, and
-/// copying a MatrixDD aliases the store in O(1). A store constructed
-/// `Sharded` is safe for concurrent interning from batch items: the probe
-/// and the pool append run under the key's shard mutex, and the chunked
-/// pool keeps node addresses stable so readers never lock.
+/// copying a MatrixDD aliases the store in O(1). Every store is safe for
+/// concurrent interning from batch items: the probe and the pool append run
+/// under the key's shard mutex, and the chunked pool keeps node addresses
+/// stable so readers never lock.
 class MatrixDdStore {
 public:
     using NodeRef = std::uint32_t;
@@ -38,9 +38,7 @@ public:
         std::vector<Edge> edges; // dim(site)^2, row-major
     };
 
-    explicit MatrixDdStore(
-        double tolerance = Tolerance::kDefault,
-        dd::UniqueTable::Concurrency concurrency = dd::UniqueTable::Concurrency::Serial);
+    explicit MatrixDdStore(double tolerance = Tolerance::kDefault);
 
     MatrixDdStore(const MatrixDdStore&) = delete;
     MatrixDdStore& operator=(const MatrixDdStore&) = delete;
@@ -50,9 +48,8 @@ public:
     [[nodiscard]] double tolerance() const noexcept { return table_.tolerance(); }
 
     /// Hash-consed allocation: the canonical ref of an existing structural
-    /// twin, or a freshly appended node. On a Sharded store, exactly one
-    /// node is created per distinct structural key however many threads
-    /// race on it.
+    /// twin, or a freshly appended node. Exactly one node is created per
+    /// distinct structural key however many threads race on it.
     NodeRef intern(std::uint32_t site, std::vector<Edge> edges);
 
     [[nodiscard]] dd::UniqueTableStats uniqueStats() const { return table_.stats(); }

@@ -380,15 +380,13 @@ bool DenseBackend::circuitsEquivalent(const Circuit& a, const Circuit& b,
 DdBackend::DdBackend(double tolerance)
     : tolerance_(tolerance),
       session_(std::make_shared<dd::DdSession>(tolerance)),
-      matrixStore_(std::make_shared<MatrixDdStore>(
-          tolerance, dd::UniqueTable::Concurrency::Sharded)) {}
+      matrixStore_(std::make_shared<MatrixDdStore>(tolerance)) {}
 
 DdBackend::DdBackend(double tolerance, parallel::ExecutionConfig config)
     : EvaluationBackend(config),
       tolerance_(tolerance),
       session_(std::make_shared<dd::DdSession>(tolerance)),
-      matrixStore_(std::make_shared<MatrixDdStore>(
-          tolerance, dd::UniqueTable::Concurrency::Sharded)) {}
+      matrixStore_(std::make_shared<MatrixDdStore>(tolerance)) {}
 
 EvalState DdBackend::zeroState(const Dimensions& dims) const {
     return EvalState(session_->zeroState(dims));
@@ -399,17 +397,14 @@ EvalState DdBackend::runFromZero(const Circuit& circuit) const {
 }
 
 void DdBackend::apply(EvalState& state, const Operation& op) const {
-    // Per-gate hygiene on a *private* diagram: applyOperation's
-    // copy-on-write rebuild does not hash-cons there, so without re-sharing
-    // and compaction a sequence of apply() calls would grow the diagram
-    // toward the full exponential tree on DAG-shaped states (e.g. the
-    // uniform superposition mid-preparation). On a session-backed diagram
-    // interning already keeps every allocation canonical and both calls
-    // are structural no-ops.
+    // Apply on the session: a private diagram's copy-on-write rebuild would
+    // not hash-cons, and a sequence of apply() calls would grow it toward
+    // the full exponential tree on DAG-shaped states (e.g. the uniform
+    // superposition mid-preparation). Interning keeps every allocation
+    // canonical; for a diagram already on the session it is O(1).
     DecisionDiagram& diagram = state.diagram();
+    diagram = session_->intern(diagram);
     diagram.applyOperation(op, tolerance_);
-    diagram.reduce(tolerance_);
-    diagram.garbageCollect();
 }
 
 double DdBackend::preparationFidelity(const Circuit& circuit,
@@ -430,8 +425,8 @@ double DdBackend::preparationFidelity(const Circuit& circuit,
 
 bool DdBackend::circuitsEquivalent(const Circuit& a, const Circuit& b, double tol) const {
     requireThat(a.radix() == b.radix(), "DdBackend::circuitsEquivalent: registers differ");
-    // Both sides compile onto the backend's shared operator store (a
-    // Sharded MatrixDdStore, so concurrent batch items intern safely):
+    // Both sides compile onto the backend's shared operator store (its
+    // table locks per shard, so concurrent batch items intern safely):
     // identity scaffolding and common gate structure are built once, and
     // two circuits that reduce to the same canonical operator
     // short-circuit on root identity.

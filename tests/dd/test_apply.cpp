@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <sstream>
 
 namespace mqsp {
 namespace {
@@ -162,10 +163,26 @@ TEST(DDInnerProduct, RegisterMismatchRejected) {
 TEST(DDInnerProduct, WorksOnReducedDiagrams) {
     DecisionDiagram a = DecisionDiagram::fromStateVector(states::uniform({3, 4, 2}));
     a.reduce();
-    a.garbageCollect();
     const DecisionDiagram b =
         DecisionDiagram::fromStateVector(states::uniform({3, 4, 2}));
     EXPECT_NEAR(std::abs(a.innerProductWith(b) - Complex{1.0, 0.0}), 0.0, 1e-10);
+}
+
+TEST(DDApply, SimulateCircuitIsTheSessionReplay) {
+    // One replay path: the static simulateCircuit runs DdSession::simulate
+    // on a fresh session, so the two agree bit for bit (the serialized form
+    // prints every weight at round-trip precision).
+    Rng rng(31);
+    const StateVector target = states::random({3, 4, 2}, rng);
+    const Circuit circuit = prepareExact(target).circuit;
+    const DecisionDiagram viaStatic = DecisionDiagram::simulateCircuit(circuit);
+    const DecisionDiagram viaSession = dd::DdSession().simulate(circuit);
+    EXPECT_TRUE(viaStatic.sessionBacked());
+    std::stringstream a;
+    std::stringstream b;
+    viaStatic.serialize(a);
+    viaSession.serialize(b);
+    EXPECT_EQ(a.str(), b.str());
 }
 
 class DDApplyRandomCircuits : public ::testing::TestWithParam<std::uint64_t> {};

@@ -106,7 +106,6 @@ TEST(DDSerialize, RoundTripsReducedAndPrunedDiagrams) {
     dd.renormalize();
     dd.normalizeRoot();
     dd.reduce();
-    dd.garbageCollect();
 
     std::stringstream stream;
     dd.serialize(stream);

@@ -1,11 +1,13 @@
 #include "mqsp/dd/decision_diagram.hpp"
 
 #include "mqsp/states/states.hpp"
+#include "mqsp/support/error.hpp"
 #include "mqsp/support/rng.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 
 namespace mqsp {
 namespace {
@@ -108,22 +110,45 @@ TEST(DDTransform, ReduceIsIdempotent) {
     EXPECT_EQ(dd.nodeCount(NodeCountMode::Internal), afterFirst);
 }
 
-TEST(DDTransform, GarbageCollectCompactsPool) {
+TEST(DDTransform, ReduceRebuildsOntoACompactSession) {
     const StateVector state = states::uniform({3, 4, 2});
     DecisionDiagram dd = DecisionDiagram::fromStateVector(state);
+    EXPECT_FALSE(dd.sessionBacked());
     dd.reduce();
-    const auto reachable = dd.nodeCount(NodeCountMode::Internal);
-    EXPECT_LT(reachable, dd.poolSize());
-    dd.garbageCollect();
-    EXPECT_EQ(dd.poolSize(), reachable + 1U); // + the terminal
+    // The reduced diagram is interned on its own fresh session: immutable,
+    // and its pool holds exactly the reachable nodes.
+    EXPECT_TRUE(dd.sessionBacked());
+    EXPECT_EQ(dd.poolSize(), dd.nodeCount(NodeCountMode::Internal) + 1U); // + the terminal
+    EXPECT_THROW(dd.cutEdge(dd.rootNode(), 0), InvalidArgumentError);
     EXPECT_NEAR(dd.fidelityWith(state), 1.0, 1e-10);
     EXPECT_EQ(dd.checkInvariants(), "");
 }
 
-TEST(DDTransform, GarbageCollectOnEmptyDiagram) {
+TEST(DDTransform, ReduceNumbersNodesInPostOrder) {
+    // Post-order numbering: every child precedes its parent, so the root
+    // is the last node of the compact pool. A serialize round trip keeps
+    // the same numbering.
+    Rng rng(5);
+    const StateVector state = states::random({3, 2, 2}, rng);
+    DecisionDiagram dd = DecisionDiagram::fromStateVector(state);
+    dd.reduce();
+    EXPECT_EQ(dd.rootNode() + 1U, dd.poolSize());
+    for (NodeRef ref = 1; ref < dd.poolSize(); ++ref) {
+        for (const DDEdge& edge : dd.node(ref).edges) {
+            EXPECT_TRUE(edge.isZeroStub() || edge.node < ref);
+        }
+    }
+    std::stringstream stream;
+    dd.serialize(stream);
+    const DecisionDiagram parsed = DecisionDiagram::deserialize(stream);
+    EXPECT_EQ(parsed.rootNode(), dd.rootNode());
+    EXPECT_EQ(parsed.poolSize(), dd.poolSize());
+}
+
+TEST(DDTransform, ReduceOnEmptyDiagram) {
     const StateVector state({2, 2}, std::vector<Complex>(4, Complex{0.0, 0.0}));
     DecisionDiagram dd = DecisionDiagram::fromStateVector(state);
-    dd.garbageCollect();
+    EXPECT_EQ(dd.reduce(), 0U);
     EXPECT_EQ(dd.rootNode(), kNoNode);
 }
 

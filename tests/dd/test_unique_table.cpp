@@ -31,14 +31,30 @@ std::vector<DDEdge> edgeList(std::initializer_list<std::pair<NodeRef, double>> s
     return edges;
 }
 
+/// findOrInsert whose allocation hook hands out `fresh` on a miss.
+NodeRef findOrInsert(dd::UniqueTable& table, std::uint32_t site,
+                     const std::vector<DDEdge>& edges, NodeRef fresh) {
+    const auto makeFresh = [fresh]() -> NodeRef { return fresh; };
+    return table.findOrInsert(site, edges, dd::detail::MakeNodeFnRef(makeFresh));
+}
+
+/// A lookup that must hit: a miss fails the test (and records kNoNode).
+NodeRef mustHit(dd::UniqueTable& table, std::uint32_t site, const std::vector<DDEdge>& edges) {
+    const auto makeFresh = []() -> NodeRef {
+        ADD_FAILURE() << "lookup missed";
+        return kNoNode;
+    };
+    return table.findOrInsert(site, edges, dd::detail::MakeNodeFnRef(makeFresh));
+}
+
 // --- UniqueTable -----------------------------------------------------------
 
 TEST(UniqueTable, FindOrInsertDeduplicatesStructuralTwins) {
     dd::UniqueTable table(kTol);
     const auto edges = edgeList({{0, 1.0}});
 
-    EXPECT_EQ(table.findOrInsert(2, edges, 41), 41U);
-    EXPECT_EQ(table.findOrInsert(2, edges, 99), 41U); // twin: canonical ref wins
+    EXPECT_EQ(findOrInsert(table, 2, edges, 41), 41U);
+    EXPECT_EQ(findOrInsert(table, 2, edges, 99), 41U); // twin: canonical ref wins
     EXPECT_EQ(table.size(), 1U);
 
     const auto& stats = table.stats();
@@ -49,45 +65,38 @@ TEST(UniqueTable, FindOrInsertDeduplicatesStructuralTwins) {
 
 TEST(UniqueTable, DistinguishesSiteChildrenAndWeights) {
     dd::UniqueTable table(kTol);
-    EXPECT_EQ(table.findOrInsert(0, edgeList({{0, 1.0}}), 1), 1U);
-    EXPECT_EQ(table.findOrInsert(1, edgeList({{0, 1.0}}), 2), 2U); // site differs
-    EXPECT_EQ(table.findOrInsert(0, edgeList({{5, 1.0}}), 3), 3U); // child differs
-    EXPECT_EQ(table.findOrInsert(0, edgeList({{0, 0.5}}), 4), 4U); // weight differs
-    EXPECT_EQ(table.findOrInsert(0, edgeList({{0, 1.0}, {0, 1.0}}), 5), 5U); // arity differs
+    EXPECT_EQ(findOrInsert(table, 0, edgeList({{0, 1.0}}), 1), 1U);
+    EXPECT_EQ(findOrInsert(table, 1, edgeList({{0, 1.0}}), 2), 2U); // site differs
+    EXPECT_EQ(findOrInsert(table, 0, edgeList({{5, 1.0}}), 3), 3U); // child differs
+    EXPECT_EQ(findOrInsert(table, 0, edgeList({{0, 0.5}}), 4), 4U); // weight differs
+    EXPECT_EQ(findOrInsert(table, 0, edgeList({{0, 1.0}, {0, 1.0}}), 5), 5U); // arity differs
     EXPECT_EQ(table.size(), 5U);
     EXPECT_EQ(table.stats().hits, 0U);
 }
 
 TEST(UniqueTable, WeightsMergeWithinToleranceBucketsOnly) {
     dd::UniqueTable table(1e-6);
-    const NodeRef first = table.findOrInsert(0, edgeList({{0, 0.5}}), 1);
+    const NodeRef first = findOrInsert(table, 0, edgeList({{0, 0.5}}), 1);
     // Deep inside the same bucket: merges.
-    EXPECT_EQ(table.findOrInsert(0, edgeList({{0, 0.5 + 1e-9}}), 2), first);
+    EXPECT_EQ(mustHit(table, 0, edgeList({{0, 0.5 + 1e-9}})), first);
     // Far outside: distinct.
-    EXPECT_EQ(table.findOrInsert(0, edgeList({{0, 0.5 + 1e-3}}), 3), 3U);
+    EXPECT_EQ(findOrInsert(table, 0, edgeList({{0, 0.5 + 1e-3}}), 3), 3U);
 }
 
 TEST(UniqueTable, GrowsPastInitialCapacityAndKeepsEveryEntry) {
     dd::UniqueTable table(kTol, /*initialCapacity=*/16);
     constexpr NodeRef kCount = 3000;
     for (NodeRef i = 0; i < kCount; ++i) {
-        ASSERT_EQ(table.findOrInsert(0, edgeList({{i, 1.0}}), i + 1), i + 1);
+        ASSERT_EQ(findOrInsert(table, 0, edgeList({{i, 1.0}}), i + 1), i + 1);
     }
     EXPECT_EQ(table.size(), kCount);
     EXPECT_GT(table.stats().grows, 0U);
     EXPECT_GE(table.capacity(), kCount);
     // Every key still resolves to its original canonical ref after growth.
     for (NodeRef i = 0; i < kCount; ++i) {
-        ASSERT_EQ(table.findOrInsert(0, edgeList({{i, 1.0}}), kNoNode), i + 1);
+        ASSERT_EQ(mustHit(table, 0, edgeList({{i, 1.0}})), i + 1);
     }
     EXPECT_EQ(table.stats().hits, kCount);
-}
-
-TEST(UniqueTable, PureLookupMissDoesNotRecord) {
-    dd::UniqueTable table(kTol);
-    EXPECT_EQ(table.findOrInsert(0, edgeList({{0, 1.0}}), kNoNode), kNoNode);
-    EXPECT_EQ(table.size(), 0U);
-    EXPECT_EQ(table.stats().misses, 1U);
 }
 
 // --- ComputeCache ----------------------------------------------------------
@@ -259,11 +268,13 @@ TEST(DdSession, SessionDiagramsRefuseMutatorsAndSkipReduce) {
 
     EXPECT_THROW(diagram.cutEdge(diagram.rootNode(), 0), InvalidArgumentError);
     EXPECT_THROW(diagram.renormalize(), InvalidArgumentError);
-    // Already canonical: reduce is a structural no-op, GC never remaps.
+    // Already canonical: reduce is a no-op that keeps the diagram on its
+    // session (no rebuild onto a fresh one).
+    (void)session.wState(dims); // unrelated nodes reduce must not drop
     const std::size_t pool = diagram.poolSize();
     EXPECT_EQ(diagram.reduce(), 0U);
-    diagram.garbageCollect();
     EXPECT_EQ(diagram.poolSize(), pool);
+    EXPECT_TRUE(diagram.sharesStoreWith(session.ghzState(dims)));
 }
 
 TEST(DdSession, CopyOfSessionDiagramAliasesThePool) {
@@ -354,6 +365,25 @@ TEST(DdSession, PastCeilingFamiliesStayPolynomial) {
     // GHZ on a qubit register IS the 2-shift cyclic state of |0...0>.
     EXPECT_NEAR(squaredMagnitude(cyclic.innerProductWith(session.ghzState(dims))), 1.0,
                 1e-9);
+}
+
+TEST(DdSession, CyclicBuilderIsReducedOnPrivateAndSessionStores) {
+    // The private builder must come out as reduced as the session one: its
+    // memo keys on shift residues, so shifts whose remaining digits agree
+    // share one node even where no table dedups them.
+    const Dimensions dims{9, 5, 6, 3, 7, 4, 8, 5, 3, 6, 2, 3};
+    const Digits start(dims.size(), 0);
+    constexpr std::uint32_t kCount = 2520; // lcm(dims): every distinct shift
+    const DecisionDiagram privateForm = DecisionDiagram::cyclicState(dims, start, kCount);
+    dd::DdSession session;
+    const DecisionDiagram sessionForm = session.cyclicState(dims, start, kCount);
+
+    EXPECT_FALSE(privateForm.sessionBacked());
+    EXPECT_EQ(privateForm.nodeCount(NodeCountMode::Internal),
+              sessionForm.nodeCount(NodeCountMode::Internal));
+    EXPECT_EQ(privateForm.poolSize(), sessionForm.poolSize()); // no duplicates built
+    EXPECT_NEAR(privateForm.normSquared(), 1.0, kTol);
+    EXPECT_NEAR(squaredMagnitude(privateForm.innerProductWith(sessionForm)), 1.0, 1e-9);
 }
 
 // --- MatrixDdStore ---------------------------------------------------------

@@ -74,8 +74,7 @@ TEST(ConcurrentUniqueTable, InsertStormAcrossGrowBoundaries) {
     constexpr unsigned kThreads = 4;
     constexpr NodeRef kKeys = 3000;
 
-    dd::UniqueTable table(kTol, /*initialCapacity=*/16,
-                          dd::UniqueTable::Concurrency::Sharded);
+    dd::UniqueTable table(kTol, /*initialCapacity=*/16);
     std::atomic<NodeRef> nextRef{1};
     std::vector<std::vector<NodeRef>> got(kThreads, std::vector<NodeRef>(kKeys, kNoNode));
     parallel::runOnThreads(kThreads, [&](unsigned thread) {
@@ -93,10 +92,15 @@ TEST(ConcurrentUniqueTable, InsertStormAcrossGrowBoundaries) {
     EXPECT_GT(table.stats().grows, 0U);
     // makeFresh ran exactly once per distinct key.
     EXPECT_EQ(nextRef.load(), kKeys + 1);
-    // Serial pure lookups agree with what every racing thread was handed.
+    // Serial lookups agree with what every racing thread was handed; a miss
+    // (a key lost by a grow) would call the must-hit hook.
+    const auto mustHit = []() -> NodeRef {
+        ADD_FAILURE() << "a key was lost by a grow";
+        return kNoNode;
+    };
     for (NodeRef k = 0; k < kKeys; ++k) {
-        const NodeRef canonical = table.findOrInsert(0, keyEdges(k, 1.0), kNoNode);
-        ASSERT_NE(canonical, kNoNode) << "key " << k << " lost by a grow";
+        const NodeRef canonical =
+            table.findOrInsert(0, keyEdges(k, 1.0), dd::detail::MakeNodeFnRef(mustHit));
         for (unsigned thread = 0; thread < kThreads; ++thread) {
             ASSERT_EQ(got[thread][k], canonical) << "key " << k << " thread " << thread;
         }

@@ -76,7 +76,6 @@ TEST(EdgeRegisters, SynthesisFromReducedStructuredDiagrams) {
                                                     : states::embeddedWState(dims);
             DecisionDiagram dd = DecisionDiagram::fromStateVector(target);
             dd.reduce();
-            dd.garbageCollect();
             for (const bool elide : {true, false}) {
                 SynthesisOptions options;
                 options.elideTensorProductControls = elide;

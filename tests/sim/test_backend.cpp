@@ -133,6 +133,24 @@ TEST(ApplyParity, PerOperationApplicationMatchesAcrossBackends) {
     EXPECT_THROW(dd.apply(dv, prep.circuit.operations().front()), InvalidArgumentError);
 }
 
+TEST(ApplyParity, DdApplyOnAPrivateUniformDiagramStaysBounded) {
+    // The uniform superposition's tree form has one node per prefix (2^20
+    // leaves here); a private DAG must not drift toward it gate by gate.
+    // apply() moves the state onto the backend session, where interning
+    // keeps every intermediate canonical.
+    const Dimensions dims(20, 2);
+    const DdBackend dd;
+    EvalState state{DecisionDiagram::uniformState(dims)};
+    for (std::size_t site = 1; site < dims.size(); ++site) {
+        dd.apply(state, Operation::phase(site, 0, 1, 0.25, {{site - 1, 1}}));
+    }
+    dd.apply(state, Operation::hadamard(dims.size() - 1));
+    const DecisionDiagram& diagram = state.diagram();
+    EXPECT_TRUE(diagram.sharesStoreWith(dd.ddSession()->zeroState(dims)));
+    EXPECT_LE(diagram.nodeCount(NodeCountMode::Internal), 4U * dims.size());
+    EXPECT_NEAR(diagram.normSquared(), 1.0, 1e-9);
+}
+
 TEST(RunFromZeroTest, BothBackendsPrepareTheSameState) {
     const Dimensions dims{2, 3, 2};
     const StateVector target = states::wState(dims);
