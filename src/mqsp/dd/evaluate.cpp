@@ -79,7 +79,8 @@ Complex DecisionDiagram::innerProductWith(const DecisionDiagram& other) const {
     // without descending — session verification of an exactly-reproduced
     // target is O(depth), not O(diagram^2) — and the remaining pairs go
     // through the session's operation cache, which persists across calls
-    // (repeated verifications of the same states hit instead of re-walking).
+    // (the repeats of one verification and the checkpoints of a streamed
+    // replay hit instead of re-walking).
     const bool sharedCanonical = sharesStoreWith(other) && store_->interning();
     dd::ComputeCache* cache = sharedCanonical ? &store_->computeCache() : nullptr;
     std::unordered_map<std::uint64_t, Complex> memo;

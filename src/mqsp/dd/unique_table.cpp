@@ -5,8 +5,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -311,7 +309,7 @@ std::optional<ComputeCache::Result> ComputeCache::lookup(Op op, NodeRef x, NodeR
     {
         const std::lock_guard<std::mutex> lock(stripes_[slot & stripeMask_]);
         const Entry& entry = entries_[slot];
-        if (entry.valid && entry.op == op && entry.x == x && entry.y == y &&
+        if (entry.generation == generation_ && entry.op == op && entry.x == x && entry.y == y &&
             entry.ratioRe == re && entry.ratioIm == im) {
             result = entry.result;
         }
@@ -334,8 +332,8 @@ void ComputeCache::store(Op op, NodeRef x, NodeRef y, const Complex& ratio,
     {
         const std::lock_guard<std::mutex> lock(stripes_[slot & stripeMask_]);
         Entry& entry = entries_[slot];
-        evicted = entry.valid;
-        entry = Entry{x, y, re, im, result, op, true};
+        evicted = entry.generation == generation_;
+        entry = Entry{x, y, re, im, result, op, generation_};
     }
     if (evicted) {
         evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -359,7 +357,7 @@ std::uint64_t ComputeCache::compact(const std::vector<NodeRef>& remap) {
     std::vector<Entry> survivors;
     for (std::size_t slot = 0; slot < slotCount_; ++slot) {
         Entry& entry = entries_[slot];
-        if (!entry.valid) {
+        if (entry.generation != generation_) {
             continue;
         }
         const NodeRef x = mapped(entry.x);
@@ -382,13 +380,27 @@ std::uint64_t ComputeCache::compact(const std::vector<NodeRef>& remap) {
     for (const Entry& survivor : survivors) {
         const std::size_t slot = slotOf(survivor.op, survivor.x, survivor.y, survivor.ratioRe,
                                         survivor.ratioIm);
-        if (entries_[slot].valid) {
+        if (entries_[slot].generation == generation_) {
             ++evicted; // two survivors re-slotted to the same bucket
         }
         entries_[slot] = survivor;
     }
     evictions_.fetch_add(evicted, std::memory_order_relaxed);
     return evicted;
+}
+
+void ComputeCache::invalidateAll() noexcept {
+    if (++generation_ != 0) {
+        return;
+    }
+    // Wrapped: entries stamped 2^32 resets ago would read as valid again.
+    // Clear the stamps once and restart at 1.
+    if (allocated_.load(std::memory_order_relaxed)) {
+        for (std::size_t slot = 0; slot < slotCount_; ++slot) {
+            entries_[slot].generation = 0;
+        }
+    }
+    generation_ = 1;
 }
 
 ComputeCacheStats ComputeCache::stats() const noexcept {
@@ -452,8 +464,8 @@ NodeRef DdNodeStore::allocate(std::uint32_t site, std::vector<DDEdge> edges) {
     }
     // Interning: the probe and the append are one step under the key's
     // shard lock — `makeFresh` runs only on a genuine miss, so exactly one
-    // node is ever created per distinct structural key, however many batch
-    // items race on it, and a hit allocates nothing at all.
+    // node is ever created per distinct structural key, however many
+    // threads race on it, and a hit allocates nothing at all.
     const auto makeFresh = [&]() -> NodeRef {
         return pool_.append(DDNode{site, std::move(edges)});
     };
@@ -536,7 +548,48 @@ DdNodeStore::CompactionStats DdNodeStore::compactLive(const std::vector<NodeRef>
     return stats;
 }
 
+void DdNodeStore::reset() {
+    pool_.truncate(1); // slot 0 stays the terminal
+    table_.clear();
+    table_.resetStats();
+    computeCache_.invalidateAll();
+    computeCache_.resetStats();
+}
+
 // --- DdSession -------------------------------------------------------------
+
+namespace {
+
+/// Per-thread memo of DdSession::intern (source ref -> session ref); one
+/// pass per call, and intern never nests on a thread.
+thread_local detail::NodeMemo<NodeRef> tlsInternMemo;
+
+/// Post-order import of the sub-tree at `ref` of `source` into `target`.
+/// The source is a different store, which the recursion only reads, so
+/// its node is read in place.
+NodeRef internNode(const DecisionDiagram& source, NodeRef ref, DdNodeStore& target,
+                   detail::NodeMemo<NodeRef>& memo) {
+    const DDNode& node = source.node(ref);
+    if (node.isTerminal()) {
+        return 0;
+    }
+    if (const NodeRef* known = memo.find(ref)) {
+        return *known;
+    }
+    std::vector<DDEdge> edges;
+    edges.reserve(node.edges.size());
+    for (const DDEdge& edge : node.edges) {
+        edges.push_back(edge);
+        if (!edge.isZeroStub()) {
+            edges.back().node = internNode(source, edge.node, target, memo);
+        }
+    }
+    const NodeRef canonical = target.allocate(node.site, std::move(edges));
+    memo.insert(ref, canonical);
+    return canonical;
+}
+
+} // namespace
 
 DdSession::DdSession(double tolerance)
     : store_(std::make_shared<DdNodeStore>(DdNodeStore::Mode::Interning, tolerance)) {}
@@ -588,29 +641,9 @@ DecisionDiagram DdSession::intern(const DecisionDiagram& diagram) const {
     }
     // Bottom-up memoized rebuild through the session table: sub-trees the
     // session has seen before come back as table hits.
-    std::unordered_map<NodeRef, NodeRef> memo;
-    const std::function<NodeRef(NodeRef)> visit = [&](NodeRef ref) -> NodeRef {
-        if (diagram.node(ref).isTerminal()) {
-            return 0;
-        }
-        if (const auto it = memo.find(ref); it != memo.end()) {
-            return it->second;
-        }
-        // Copy the shape up front: the source may live on a private store
-        // whose pool the recursion below is unrelated to, but keeping the
-        // access pattern uniform costs nothing.
-        const std::uint32_t site = diagram.node(ref).site;
-        std::vector<DDEdge> edges = diagram.node(ref).edges;
-        for (auto& edge : edges) {
-            if (!edge.isZeroStub()) {
-                edge.node = visit(edge.node);
-            }
-        }
-        const NodeRef canonical = store_->allocate(site, std::move(edges));
-        memo.emplace(ref, canonical);
-        return canonical;
-    };
-    result.root_ = visit(diagram.rootNode());
+    detail::NodeMemo<NodeRef>& memo = tlsInternMemo;
+    memo.beginPass(diagram.poolSize());
+    result.root_ = internNode(diagram, diagram.rootNode(), *store_, memo);
     result.rootWeight_ = diagram.rootWeight();
     return result;
 }
@@ -647,6 +680,12 @@ DdSessionGcStats DdSession::garbageCollect(const std::vector<DecisionDiagram*>& 
     return stats;
 }
 
+void DdSession::reset() {
+    requireThat(store_.use_count() == 1,
+                "DdSession::reset: a diagram built on this session is still alive");
+    store_->reset();
+}
+
 DdSessionStats DdSession::stats() const {
     DdSessionStats stats;
     stats.poolNodes = store_->size();
@@ -658,6 +697,37 @@ DdSessionStats DdSession::stats() const {
 void DdSession::resetStats() {
     store_->uniqueTable().resetStats();
     store_->computeCache().resetStats();
+}
+
+// --- ScratchSessionPool ----------------------------------------------------
+
+ScratchSessionPool::Lease ScratchSessionPool::acquire() {
+    std::unique_ptr<DdSession> session;
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        if (!idle_.empty()) {
+            session = std::move(idle_.back());
+            idle_.pop_back();
+        }
+    }
+    if (session == nullptr) {
+        session = std::make_unique<DdSession>(tolerance_);
+    }
+    return Lease(*this, std::move(session));
+}
+
+std::size_t ScratchSessionPool::idleCount() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return idle_.size();
+}
+
+ScratchSessionPool::Lease::~Lease() {
+    if (session_->store().use_count() != 1) {
+        return; // a diagram outlived the lease: it keeps the store, the list loses it
+    }
+    session_->reset();
+    const std::lock_guard<std::mutex> lock(pool_.mutex_);
+    pool_.idle_.push_back(std::move(session_));
 }
 
 } // namespace mqsp::dd

@@ -3,8 +3,9 @@
 // Session-scoped decision-diagram memory: the node types shared by every DD
 // file, a sharded open-addressed uniquing table that hash-conses nodes at
 // allocation time, a striped direct-mapped compute cache for the recursive
-// DD addition, and the `DdSession` that owns both for the lifetime of a
-// backend.
+// DD addition, the `DdSession` that owns both for the lifetime of a
+// backend, and the `ScratchSessionPool` of reusable sessions that
+// verifications run on.
 //
 // Interning is the only way a diagram becomes canonical. One node-pool
 // abstraction (`DdNodeStore`) has two modes:
@@ -24,16 +25,18 @@
 //    session diagrams share the store, and lifetime is owned by the
 //    session, not by any one diagram.
 //
-// Concurrency model (the multicore substrate behind verifyBatch):
+// Concurrency model. Concurrent verifications (verifyBatch items, serve
+// readers) each lease their own scratch session and only *read* shared
+// stores; the locking below keeps any store safe for concurrent writers
+// all the same:
 //
 //  * The table is split into kShardCount shards selected by the top bits of
 //    the key hash (slot probing uses the low bits, so shard choice and slot
 //    distribution are independent). Every table locks: findOrInsert takes
 //    the owning shard's mutex and allocates the node under it, so
-//    concurrent batch items intern into one shared pool and a distinct
-//    structural key maps to exactly one NodeRef regardless of
-//    interleaving. Single-threaded callers pay one uncontended lock per
-//    probe.
+//    concurrent interners share one pool and a distinct structural key
+//    maps to exactly one NodeRef regardless of interleaving.
+//    Single-threaded callers pay one uncontended lock per probe.
 //  * Nodes live in a chunked pool with geometrically growing blocks; a
 //    node's address never changes once allocated, so readers follow NodeRefs
 //    out of edges without any pool-wide lock. Block pointers are published
@@ -170,6 +173,15 @@ public:
         size_.store(0, std::memory_order_relaxed);
     }
 
+    /// Forget every node past the first `count` but keep the blocks, so
+    /// the next appends reuse the storage (a stale slot is overwritten
+    /// whole by the append that reclaims it). Single-threaded.
+    void truncate(std::uint32_t count) noexcept {
+        if (count < size_.load(std::memory_order_relaxed)) {
+            size_.store(count, std::memory_order_relaxed);
+        }
+    }
+
     void copyFrom(const ChunkedNodePool& other) {
         clear();
         const std::size_t count = other.size();
@@ -219,6 +231,44 @@ private:
     std::mutex growMutex_; ///< serializes block creation only
 };
 
+/// Per-pass memo over the refs of one node pool: a flat array indexed by
+/// NodeRef whose slots count as set only when stamped with the current
+/// pass's epoch, so starting a pass is O(1) instead of a clear or a fresh
+/// hash map. Recursive DD passes (gate application, interning) keep one
+/// per thread and start a pass per call; the array grows to the largest
+/// pool a thread has walked.
+template <typename Value>
+class NodeMemo {
+public:
+    /// Start a pass over refs below `size`; every slot reads as unset.
+    void beginPass(std::size_t size) {
+        if (slots_.size() < size) {
+            slots_.resize(size);
+        }
+        if (++epoch_ == 0) { // wrapped: stale stamps could alias the new epoch
+            for (Slot& slot : slots_) {
+                slot.epoch = 0;
+            }
+            epoch_ = 1;
+        }
+    }
+
+    [[nodiscard]] const Value* find(NodeRef ref) const noexcept {
+        const Slot& slot = slots_[ref];
+        return slot.epoch == epoch_ ? &slot.value : nullptr;
+    }
+
+    void insert(NodeRef ref, const Value& value) noexcept { slots_[ref] = Slot{epoch_, value}; }
+
+private:
+    struct Slot {
+        std::uint32_t epoch = 0;
+        Value value{};
+    };
+    std::vector<Slot> slots_;
+    std::uint32_t epoch_ = 0;
+};
+
 } // namespace detail
 
 /// Counters of one uniquing table. `hits` are lookups answered by an
@@ -232,6 +282,7 @@ struct UniqueTableStats {
     std::uint64_t probeSteps = 0;
     std::uint64_t grows = 0;
 
+    [[nodiscard]] bool operator==(const UniqueTableStats&) const = default;
     [[nodiscard]] double hitRate() const noexcept {
         return lookups == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(lookups);
     }
@@ -244,6 +295,7 @@ struct ComputeCacheStats {
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
 
+    [[nodiscard]] bool operator==(const ComputeCacheStats&) const = default;
     [[nodiscard]] double hitRate() const noexcept {
         return lookups == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(lookups);
     }
@@ -362,17 +414,17 @@ private:
 ///    weight: one entry serves every scaled recurrence of the same
 ///    structural addition, across gates and diagrams of the owning session.
 ///  * InnerProduct — <x-subtree | y-subtree> of canonical session nodes
-///    (ratio unused, `value` is the overlap). Verification replays revisit
-///    the same node pairs run after run; the session cache carries those
-///    results across calls where a per-call memo cannot.
+///    (ratio unused, `value` is the overlap). The repeats of one
+///    verification and the checkpoints of a streamed replay revisit the
+///    same node pairs; the session cache carries those results across
+///    overlaps where a per-call memo cannot.
 ///
 /// Thread safety: entry slots are guarded by striped mutexes (stripe =
 /// slot's low bits) and copied in and out whole, so concurrent lookups and
 /// stores never tear a Result — a racing overwrite can only turn a would-be
 /// hit into a miss. Counters are relaxed atomics. Hit/miss counts of
-/// concurrent workloads depend on the interleaving (eviction races), so
-/// batch metrics pin `dd_nodes`, which is interleaving-invariant, rather
-/// than cache rates.
+/// concurrent writers depend on the interleaving (eviction races); a
+/// session written by one thread at a time counts deterministically.
 class ComputeCache {
 public:
     enum class Op : std::uint8_t { Add, InnerProduct };
@@ -397,11 +449,17 @@ public:
     /// `remap` (old ref -> new ref, kNoNode marks a collected node) and
     /// invalidate entries naming a dead node. Survivors are re-slotted —
     /// a slot index hashes the refs, so a remapped key lives in a new slot
-    /// — which keeps post-GC lookups hitting (repeat verifications resolve
-    /// from the cache after a compaction). Returns the number of entries
+    /// — which keeps post-GC lookups hitting (a REVERIFY resolves from the
+    /// cache after a compaction). Returns the number of entries
     /// invalidated, which is also added to the eviction counter.
     /// Single-threaded: the session-GC caller guarantees quiescence.
     std::uint64_t compact(const std::vector<NodeRef>& remap);
+
+    /// Invalidate every entry in O(1): entries are stamped with the
+    /// generation they were stored in, and only the current generation's
+    /// count as valid. Single-threaded (the store-reset caller guarantees
+    /// quiescence).
+    void invalidateAll() noexcept;
 
     [[nodiscard]] ComputeCacheStats stats() const noexcept;
     void resetStats() noexcept;
@@ -414,7 +472,7 @@ private:
         std::int64_t ratioIm = 0;
         Result result;
         Op op = Op::Add;
-        bool valid = false;
+        std::uint32_t generation = 0; ///< valid iff equal to the cache's generation_
     };
 
     static constexpr std::size_t kMaxStripes = 64;
@@ -431,6 +489,8 @@ private:
     std::size_t stripeMask_;
     std::unique_ptr<Entry[]> entries_;
     std::unique_ptr<std::mutex[]> stripes_;
+    /// Starts at 1 so value-initialized entries (generation 0) are empty.
+    std::uint32_t generation_ = 1;
     std::atomic<bool> allocated_{false};
     std::mutex allocMutex_;
     std::atomic<std::uint64_t> lookups_{0};
@@ -468,7 +528,7 @@ public:
     [[nodiscard]] DDNode& mutableNode(NodeRef ref);
 
     /// Allocate (Private) or intern (Interning) a node. On an interning
-    /// store this is safe to call from concurrent batch items: exactly one
+    /// store this is safe to call from concurrent threads: exactly one
     /// node is created per distinct structural key, and losers of an
     /// insertion race receive the winner's canonical ref.
     NodeRef allocate(std::uint32_t site, std::vector<DDEdge> edges);
@@ -492,6 +552,14 @@ public:
     CompactionStats compactLive(const std::vector<NodeRef>& roots,
                                 std::vector<NodeRef>& remapOut);
 
+    /// Back to the freshly constructed state while keeping the memory the
+    /// store has grown: the pool rewinds to the terminal and keeps its
+    /// blocks, the uniquing table empties and keeps its slot capacity, the
+    /// compute cache is invalidated in O(1), and every counter restarts at
+    /// zero. Every node but the terminal is forgotten, so no diagram on
+    /// the store may be used afterwards. Single-threaded.
+    void reset();
+
     [[nodiscard]] UniqueTable& uniqueTable() noexcept { return table_; }
     [[nodiscard]] const UniqueTable& uniqueTable() const noexcept { return table_; }
     [[nodiscard]] ComputeCache& computeCache() noexcept { return computeCache_; }
@@ -509,13 +577,14 @@ private:
 /// and compute-cache counters — the `dd_nodes` / `unique_hit_rate` /
 /// `cache_hit_rate` metrics the bench harness and the CLI tools report.
 /// `poolNodes` (the distinct structural keys interned) is invariant under
-/// thread count and batch-item order; the hit rates of *concurrent* batches
+/// thread count and interleaving; the hit rates of *concurrent* writers
 /// depend on the interleaving and are reported as observed.
 struct DdSessionStats {
     std::uint64_t poolNodes = 0; ///< allocated nodes incl. the terminal
     UniqueTableStats unique;
     ComputeCacheStats cache;
 
+    [[nodiscard]] bool operator==(const DdSessionStats&) const = default;
     [[nodiscard]] double uniqueHitRate() const noexcept { return unique.hitRate(); }
     [[nodiscard]] double cacheHitRate() const noexcept { return cache.hitRate(); }
 };
@@ -531,11 +600,10 @@ struct DdSessionGcStats {
 };
 
 /// A DD evaluation session: one shared interning store for every diagram
-/// the owner touches. `DdBackend` holds one for its whole lifetime, so the
-/// target, the replayed state, and every per-gate intermediate of a
-/// verification run allocate from (and hit into) the same table — including
-/// the items of a concurrent `verifyBatch`, which intern into
-/// this one session from every worker.
+/// the owner touches. `DdBackend` holds one for its whole lifetime for the
+/// states that outlive a call (targets, replays, streamed states), and
+/// leases scratch sessions (ScratchSessionPool) for verifications, whose
+/// replay intermediates die with the call.
 ///
 /// Lifetime/ownership contract: diagrams built by a session hold a
 /// shared_ptr to the session's store, so they remain valid after the
@@ -586,16 +654,68 @@ public:
     /// safe because interning made refs canonical, so equal sub-trees were
     /// already one node and the compaction is a pure renumbering), and
     /// surviving compute-cache entries are rewritten to the new refs so
-    /// repeat verifications still hit post-compaction. Not thread-safe:
+    /// incremental re-verification still hits post-compaction. Not thread-safe:
     /// callers guarantee no concurrent use of the session for the duration
     /// (the serve layer serializes GC behind its dispatch lock).
     DdSessionGcStats garbageCollect(const std::vector<DecisionDiagram*>& live) const;
+
+    /// Empty the session for reuse (DdNodeStore::reset): the stats and the
+    /// answers of later work are those of a fresh session, but the pool
+    /// blocks, table slots and cache array are kept. Refuses while a
+    /// diagram built on the session is still alive — it would read
+    /// forgotten nodes. Not thread-safe.
+    void reset();
 
     [[nodiscard]] DdSessionStats stats() const;
     void resetStats();
 
 private:
     std::shared_ptr<DdNodeStore> store_;
+};
+
+/// Reusable scratch sessions for work whose diagrams die with the call,
+/// such as a verification's replay, target import and overlap. `acquire`
+/// hands every caller a session of its own — an idle one from the free
+/// list, or a new one when all are leased — so concurrent callers never
+/// write the same nodes. When the lease ends the session is reset and
+/// returned, keeping the memory it grew. The list therefore holds at most
+/// as many sessions as were ever leased at once. Thread-safe.
+class ScratchSessionPool {
+public:
+    explicit ScratchSessionPool(double tolerance) : tolerance_(tolerance) {}
+
+    ScratchSessionPool(const ScratchSessionPool&) = delete;
+    ScratchSessionPool& operator=(const ScratchSessionPool&) = delete;
+
+    /// One leased session. Every diagram built on it must be destroyed
+    /// before the lease; a lease whose session is still aliased gives the
+    /// session up instead of resetting nodes that are still read.
+    class Lease {
+    public:
+        Lease(const Lease&) = delete;
+        Lease& operator=(const Lease&) = delete;
+        ~Lease();
+
+        [[nodiscard]] const DdSession& session() const noexcept { return *session_; }
+
+    private:
+        friend class ScratchSessionPool;
+        Lease(ScratchSessionPool& pool, std::unique_ptr<DdSession> session)
+            : pool_(pool), session_(std::move(session)) {}
+
+        ScratchSessionPool& pool_;
+        std::unique_ptr<DdSession> session_;
+    };
+
+    [[nodiscard]] Lease acquire();
+
+    /// Sessions waiting on the free list.
+    [[nodiscard]] std::size_t idleCount() const;
+
+private:
+    double tolerance_;
+    mutable std::mutex mutex_;
+    std::vector<std::unique_ptr<DdSession>> idle_;
 };
 
 } // namespace dd

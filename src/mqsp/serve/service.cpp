@@ -196,10 +196,6 @@ Response VerificationService::handleLine(const std::string& rawLine) {
                 }
                 reply = dispatchRead(request);
             }
-            // VERIFY/BATCH replays intern fresh intermediates, so reads
-            // can push the pool over the watermark; collect outside the
-            // shared section (the writer lock is taken inside).
-            maybeAutoGc();
         } else {
             const support::ExclusiveLockGuard guard(dispatchLock_);
             reply = dispatchWrite(request);
@@ -281,18 +277,6 @@ bool VerificationService::collectIfOverWatermarkLocked() {
     // what this collection could not reclaim.
     gcTrigger_.store(std::max(gcWatermark_, stats.nodesAfter), std::memory_order_relaxed);
     return true;
-}
-
-void VerificationService::maybeAutoGc() {
-    // Cheap unlocked check first — the common case is "under the mark".
-    if (backend_->ddSession()->stats().poolNodes <=
-        gcTrigger_.load(std::memory_order_relaxed)) {
-        return;
-    }
-    const support::ExclusiveLockGuard guard(dispatchLock_);
-    // Re-check under the writer lock: another thread may have collected
-    // between the check and the acquisition.
-    collectIfOverWatermarkLocked();
 }
 
 std::string VerificationService::handlePrep(const Request& request) {
@@ -431,12 +415,15 @@ std::string VerificationService::handleVerify(const Request& request) {
                                      u64(limits_.maxVerifyRepeat) + "]");
     }
 
-    double fidelity = 0.0;
-    for (std::uint64_t i = 0; i < repeat; ++i) {
-        fidelity = backend_->preparationFidelity(entry->circuit, entry->target);
+    // The replay runs on a scratch session of this call's own (see
+    // DdBackend), so concurrent readers never write the shared session.
+    const VerifyReport report = backend_->verify(VerifyRequest{&entry->circuit, &entry->target,
+                                                               repeat, 0});
+    if (report.failed) {
+        detail::throwInvalidArgument(report.error);
     }
     verified_.fetch_add(repeat, std::memory_order_relaxed);
-    return "OK id=" + u64(entry->id) + " fidelity=" + fixed(fidelity, 9) +
+    return "OK id=" + u64(entry->id) + " fidelity=" + fixed(report.fidelity, 9) +
            " repeats=" + u64(repeat);
 }
 

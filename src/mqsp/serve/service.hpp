@@ -2,17 +2,16 @@
 
 // The mqsp_serve dispatcher: one resident VerificationService multiplexes
 // every client (stdio or TCP) onto a single DdBackend — one shared
-// DdSession stays hot across requests, so repeat verifications resolve
-// from the session compute cache and structurally shared targets intern
-// into one pool.
+// DdSession holds every resident target, so structurally shared targets
+// intern into one pool. Verifications replay on scratch sessions of their
+// own (see DdBackend) and never add to it.
 //
 // Dispatch is a reader-writer discipline over one writer-preference
 // RwLock (support/rwlock.hpp), not a single mutex: read-path verbs
 // (VERIFY, BATCH, STATS?, LIMITS?, HELP) execute concurrently from
-// different client threads — they never mutate the registry, and the
-// shared session's uniquing table is sharded and its compute cache
-// striped precisely so concurrent verifications may intern into it
-// (see "DD session memory" in docs/ARCHITECTURE.md). Write-path verbs
+// different client threads — they never mutate the registry and only
+// read the shared session, each verification writing its own scratch
+// session (see "DD session memory" in docs/ARCHITECTURE.md). Write-path verbs
 // (PREP, STREAM, APPEND, REVERIFY, DROP, GC, QUIT) take exclusive
 // ownership: they append to / erase from the registry (invalidating
 // entry references readers may hold), mutate entry state (the streamed
@@ -29,11 +28,11 @@
 // themselves are not.
 //
 // Session GC runs in two modes: the explicit GC verb, and an automatic
-// high-water-mark policy — when the pool grows past the watermark
-// (default 80% of the --max-nodes budget, override with --gc-watermark)
-// the service takes the writer lock at the next opportunity and runs the
-// same mark-and-compact, so a long-lived session stays under budget
-// without any client ever issuing GC.
+// high-water-mark policy — when a writer grows the pool past the
+// watermark (default 80% of the --max-nodes budget, override with
+// --gc-watermark) it runs the same mark-and-compact before releasing the
+// writer lock, so a long-lived session stays under budget without any
+// client ever issuing GC. Reads never grow the pool.
 //
 // Admission limits make the service survivable under hostile or
 // fat-fingered traffic: a per-request amplitude ceiling (one PREP of a
@@ -172,11 +171,8 @@ private:
 
     /// Run the mark-and-compact if the pool is over the current trigger;
     /// caller must hold the writer lock. Returns whether a collection ran.
+    /// Only writers grow the pool, so only writers call it.
     bool collectIfOverWatermarkLocked();
-    /// Read-path epilogue: re-check the watermark and, when crossed,
-    /// take the writer lock and collect (VERIFY/BATCH replays intern new
-    /// nodes, so reads can push the pool over the mark too).
-    void maybeAutoGc();
 
     ServiceLimits limits_;
     std::uint64_t gcWatermark_ = 0;

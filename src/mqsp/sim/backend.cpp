@@ -158,6 +158,13 @@ void stampSessionMetrics(VerifyReport& report, const std::shared_ptr<dd::DdSessi
 
 } // namespace
 
+void EvaluationBackend::verifyItem(const VerifyRequest& request, VerifyReport& report) const {
+    const std::uint64_t repeats = request.repeat == 0 ? 1 : request.repeat;
+    for (std::uint64_t run = 0; run < repeats; ++run) {
+        report.fidelity = preparationFidelity(*request.circuit, *request.target);
+    }
+}
+
 VerifyReport EvaluationBackend::verify(const VerifyRequest& request) const {
     VerifyReport report;
     if (request.circuit == nullptr || request.target == nullptr) {
@@ -165,19 +172,13 @@ VerifyReport EvaluationBackend::verify(const VerifyRequest& request) const {
         report.error = "verify: null circuit or target";
         return report;
     }
-    const std::shared_ptr<dd::DdSession> session = ddSession();
-    const dd::ComputeCacheStats before = cacheCounters(session);
     report.ops = request.circuit->numOperations();
     try {
-        const std::uint64_t repeats = request.repeat == 0 ? 1 : request.repeat;
-        for (std::uint64_t run = 0; run < repeats; ++run) {
-            report.fidelity = preparationFidelity(*request.circuit, *request.target);
-        }
+        verifyItem(request, report);
     } catch (const std::exception& error) {
         report.failed = true;
         report.error = error.what();
     }
-    stampSessionMetrics(report, session, before);
     return report;
 }
 
@@ -189,29 +190,11 @@ EvaluationBackend::verifyBatch(const std::vector<VerifyRequest>& items) const {
     // parallel region — so a dense single-item batch still parallelizes its
     // amplitude walks; with many items the pool workers each take items
     // whole and the nested kernels run serially on their worker.
-    const std::shared_ptr<dd::DdSession> session = ddSession();
     const auto runItem = [&](std::uint64_t begin, std::uint64_t end) {
+        // verify() reports a null or throwing item in its own report, so
+        // one bad item never tears down its siblings mid-flight.
         for (std::uint64_t i = begin; i < end; ++i) {
-            if (items[i].circuit == nullptr || items[i].target == nullptr) {
-                // A null item is that item's failure, not the batch's: a
-                // throw here would tear down every sibling mid-flight.
-                results[i].failed = true;
-                results[i].error = "verifyBatch: null circuit or target";
-                continue;
-            }
-            const dd::ComputeCacheStats before = cacheCounters(session);
-            results[i].ops = items[i].circuit->numOperations();
-            try {
-                const std::uint64_t repeats = items[i].repeat == 0 ? 1 : items[i].repeat;
-                for (std::uint64_t run = 0; run < repeats; ++run) {
-                    results[i].fidelity =
-                        preparationFidelity(*items[i].circuit, *items[i].target);
-                }
-            } catch (const std::exception& error) {
-                results[i].failed = true;
-                results[i].error = error.what();
-            }
-            stampSessionMetrics(results[i], session, before);
+            results[i] = verify(items[i]);
         }
     };
     // Pin the process width to this backend's configuration for the whole
@@ -380,13 +363,15 @@ bool DenseBackend::circuitsEquivalent(const Circuit& a, const Circuit& b,
 DdBackend::DdBackend(double tolerance)
     : tolerance_(tolerance),
       session_(std::make_shared<dd::DdSession>(tolerance)),
-      matrixStore_(std::make_shared<MatrixDdStore>(tolerance)) {}
+      matrixStore_(std::make_shared<MatrixDdStore>(tolerance)),
+      scratch_(std::make_unique<dd::ScratchSessionPool>(tolerance)) {}
 
 DdBackend::DdBackend(double tolerance, parallel::ExecutionConfig config)
     : EvaluationBackend(config),
       tolerance_(tolerance),
       session_(std::make_shared<dd::DdSession>(tolerance)),
-      matrixStore_(std::make_shared<MatrixDdStore>(tolerance)) {}
+      matrixStore_(std::make_shared<MatrixDdStore>(tolerance)),
+      scratch_(std::make_unique<dd::ScratchSessionPool>(tolerance)) {}
 
 EvalState DdBackend::zeroState(const Dimensions& dims) const {
     return EvalState(session_->zeroState(dims));
@@ -407,20 +392,36 @@ void DdBackend::apply(EvalState& state, const Operation& op) const {
     diagram.applyOperation(op, tolerance_);
 }
 
-double DdBackend::preparationFidelity(const Circuit& circuit,
-                                      const EvalState& target) const {
-    // Concurrent batch items land here on pool workers and intern into the
-    // same shared session: the table is sharded and safe for this
-    // (dd/unique_table.hpp), and cross-item sharing is the point.
-    const std::shared_ptr<dd::DdSession>& session = session_;
-    const DecisionDiagram prepared = session->simulate(circuit);
-    // Interning the target into the same session makes the overlap a
+double DdBackend::fidelityOn(const dd::DdSession& scratch, const Circuit& circuit,
+                             const EvalState& target) {
+    const DecisionDiagram prepared = scratch.simulate(circuit);
+    // Importing the target into the replay's session makes the overlap a
     // same-store traversal: sub-trees the replay reproduced exactly compare
     // by NodeRef identity instead of by descent.
     const DecisionDiagram targetDiagram =
-        target.isDiagram() ? session->intern(target.diagram())
-                           : session->intern(DecisionDiagram::fromStateVector(target.dense()));
+        target.isDiagram() ? scratch.intern(target.diagram())
+                           : scratch.intern(DecisionDiagram::fromStateVector(target.dense()));
     return squaredMagnitude(targetDiagram.innerProductWith(prepared));
+}
+
+double DdBackend::preparationFidelity(const Circuit& circuit,
+                                      const EvalState& target) const {
+    const dd::ScratchSessionPool::Lease lease = scratch_->acquire();
+    return fidelityOn(lease.session(), circuit, target);
+}
+
+void DdBackend::verifyItem(const VerifyRequest& request, VerifyReport& report) const {
+    // One scratch session for every repeat: later runs resolve from the
+    // table and cache the first one filled.
+    const dd::ScratchSessionPool::Lease lease = scratch_->acquire();
+    const std::uint64_t repeats = request.repeat == 0 ? 1 : request.repeat;
+    for (std::uint64_t run = 0; run < repeats; ++run) {
+        report.fidelity = fidelityOn(lease.session(), *request.circuit, *request.target);
+    }
+    const dd::DdSessionStats stats = lease.session().stats();
+    report.ddNodes = stats.poolNodes;
+    report.cacheLookups = stats.cache.lookups;
+    report.cacheHits = stats.cache.hits;
 }
 
 bool DdBackend::circuitsEquivalent(const Circuit& a, const Circuit& b, double tol) const {

@@ -128,11 +128,15 @@ struct VerifyRequest {
 
 /// Outcome of one verify item: the fidelity plus the observability the
 /// CLIs, serve verbs and bench drivers previously re-derived ad hoc —
-/// operations replayed, session `dd_nodes` after the run, and the session
-/// compute-cache lookup/hit deltas attributable to this item (all zero on
-/// the dense backend). A throwing item (e.g. a register past the dense
-/// ceiling) is reported in `failed`/`error` instead of aborting its batch
-/// siblings.
+/// operations replayed, `dd_nodes`, and compute-cache lookups/hits (all
+/// zero on the dense backend). For `verify`/`verifyBatch` on the dd
+/// backend the dd figures describe the item's own scratch session: its
+/// pool size at the end of the item (terminal included) and its cache
+/// counters over every repeat, so they depend on the item alone. For
+/// `verifyStream`/`reverifyAppended`, which replay on the shared session,
+/// they are that session's pool size and the cache deltas of the call.
+/// A throwing item (e.g. a register past the dense ceiling) is reported
+/// in `failed`/`error` instead of aborting its batch siblings.
 struct VerifyReport {
     double fidelity = 0.0;
     std::uint64_t ops = 0;
@@ -193,16 +197,14 @@ public:
     }
 
     /// Replay + verify one item, with the full report (fidelity, ops,
-    /// dd_nodes, session cache deltas; honors `repeat`). Exceptions land in
-    /// the report's failed/error instead of propagating.
+    /// dd figures; honors `repeat`). Exceptions land in the report's
+    /// failed/error instead of propagating.
     [[nodiscard]] VerifyReport verify(const VerifyRequest& request) const;
 
     /// Replay + verify every item. Items are independent: with more than
     /// one item and more than one configured thread they run concurrently
     /// across the pool workers; a single item keeps the whole pool for its
-    /// own kernels. Per-item exceptions land in the item's report. (Cache
-    /// deltas of concurrent items overlap and are reported as observed —
-    /// gate on them only single-threaded.)
+    /// own kernels. Per-item exceptions land in the item's report.
     [[nodiscard]] std::vector<VerifyReport>
     verifyBatch(const std::vector<VerifyRequest>& items) const;
 
@@ -250,11 +252,20 @@ public:
     [[nodiscard]] virtual bool circuitsEquivalent(const Circuit& a, const Circuit& b,
                                                   double tol = 1e-9) const = 0;
 
-    /// The DD memory session backing this backend's evaluations, when it
-    /// has one (the dd backend does, for its whole lifetime); callers use
-    /// it to build targets on the shared store and to read the
-    /// dd_nodes / unique_hit_rate / cache_hit_rate statistics.
+    /// The DD memory session backing this backend's resident states, when
+    /// it has one (the dd backend does, for its whole lifetime): targets
+    /// built on it, `runFromZero`, `apply`, `verifyStream` and
+    /// `reverifyAppended` states, and its dd_nodes / unique_hit_rate /
+    /// cache_hit_rate statistics. Verification (`preparationFidelity`,
+    /// `verify`, `verifyBatch`) never writes it.
     [[nodiscard]] virtual std::shared_ptr<dd::DdSession> ddSession() const { return nullptr; }
+
+protected:
+    /// Verify one non-null item into `report`: fidelity (the last of
+    /// `request.repeat` runs) and, where the backend has them, the dd
+    /// figures. Throws on failure; `verify`/`verifyBatch` catch. The
+    /// default runs preparationFidelity once per repeat.
+    virtual void verifyItem(const VerifyRequest& request, VerifyReport& report) const;
 
 private:
     parallel::ExecutionConfig config_;
@@ -292,21 +303,26 @@ private:
 /// (mdd/MatrixDD) — memory and time scale with diagram size, not with
 /// ∏dims, so structured states verify on registers of 10^8+ amplitudes.
 ///
-/// Memory model: the backend owns one dd::DdSession (and one shared
-/// MatrixDdStore for the equivalence path) for its whole lifetime. Every
-/// target, replayed state, and per-gate intermediate evaluated on this
-/// backend allocates through the session's uniquing table, so identical
-/// sub-trees are built once per backend, repeated verifications hit the
-/// session compute cache, and `ddSession()->stats()` reports the
-/// dd_nodes / unique_hit_rate / cache_hit_rate metrics.
+/// Memory model: the backend owns one shared dd::DdSession (and one
+/// shared MatrixDdStore for the equivalence path) for its whole lifetime.
+/// States that outlive a call live there: targets built through
+/// `ddSession()`, `runFromZero`/`apply` results and the streaming and
+/// incremental replays, whose intermediates stay until a session GC.
 ///
-/// Concurrency: the session's uniquing table is sharded and its compute
-/// cache striped (dd/unique_table.hpp), so batch items fanned out by
-/// `verifyBatch` intern into this one shared session from every
-/// worker — cross-item sharing is exactly where the table pays most. The
-/// distinct structural key set (dd_nodes) is invariant under thread count
-/// and item order; cache hit rates of concurrent batches depend on the
-/// interleaving and are reported as observed.
+/// Verification does not touch it. `preparationFidelity`, `verify` and
+/// `verifyBatch` replay the circuit, import the target and take the
+/// overlap on a scratch session leased from the backend's
+/// dd::ScratchSessionPool, which is reset and reused once the call ends.
+/// A verification therefore costs what its own diagrams cost, not what
+/// the shared session accumulated, and its answer does not depend on
+/// what ran before. `verify` keeps one scratch session across its
+/// repeats, so repeats resolve from that session's table and cache.
+///
+/// Concurrency: every concurrent verification (batch items on pool
+/// workers, concurrent serve readers) leases a scratch session of its
+/// own, so none of them writes shared nodes; they only read the shared
+/// session's targets. The shared session's sharded table and striped
+/// cache (dd/unique_table.hpp) stay safe for concurrent writers.
 class DdBackend final : public EvaluationBackend {
 public:
     explicit DdBackend(double tolerance = Tolerance::kDefault);
@@ -325,10 +341,20 @@ public:
         return session_;
     }
 
+protected:
+    void verifyItem(const VerifyRequest& request, VerifyReport& report) const override;
+
 private:
+    /// |<target|circuit(|0...0>)>|^2 with every diagram on `scratch`.
+    [[nodiscard]] static double fidelityOn(const dd::DdSession& scratch, const Circuit& circuit,
+                                           const EvalState& target);
+
     double tolerance_ = Tolerance::kDefault;
     std::shared_ptr<dd::DdSession> session_;
     std::shared_ptr<MatrixDdStore> matrixStore_;
+    /// Behind a pointer so the backend stays movable (the pool holds a
+    /// mutex and hands out leases that point back at it).
+    std::unique_ptr<dd::ScratchSessionPool> scratch_;
 };
 
 /// Factory for a backend of the given kind (process-wide ExecutionConfig).

@@ -114,7 +114,7 @@ TEST(SessionGc, ComputeCacheEntriesSurviveCompaction) {
 
     const dd::DdSessionGcStats stats = session.garbageCollect({&ghz, &w});
     // Every cached pair names live nodes: nothing to evict, and the
-    // remapped entries still answer the repeat verification.
+    // remapped entries still answer the repeated overlap.
     EXPECT_EQ(stats.cacheEntriesEvicted, 0U);
     const std::uint64_t hitsAfterGc = session.stats().cache.hits;
     const Complex postGc = ghz.innerProductWith(w);

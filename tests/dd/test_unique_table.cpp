@@ -2,7 +2,8 @@
 // open-addressed uniquing table (collision handling, growth, hit/miss
 // counters), the operation/compute cache, the two node-store regimes
 // (private append vs session interning), and DdSession reuse across
-// diagrams — targets, replays, and repeat verification sharing one pool.
+// diagrams — targets and replays sharing one pool — plus session reset,
+// the scratch-session pool verification runs on, and the per-pass memo.
 
 #include "mqsp/dd/decision_diagram.hpp"
 #include "mqsp/dd/unique_table.hpp"
@@ -328,8 +329,10 @@ TEST(DdSession, StatsResetClearsCountersButKeepsNodes) {
 TEST(DdSession, RepeatVerificationHitsTheOperationCache) {
     // An approximated circuit prepares a state that differs from the exact
     // target, so verification must genuinely traverse node pairs — the
-    // case the session operation cache exists for. The second verification
-    // resolves from the cache at the root pair instead of re-walking.
+    // case the operation cache exists for. The repeats of one verify call
+    // share its scratch session, so the second run resolves from the cache
+    // the first one filled; separate calls start from an empty scratch
+    // session and never touch the backend's shared one.
     const Dimensions dims{4, 3, 2, 5};
     Rng rng(0xCAFEULL);
     const StateVector target = states::random(dims, rng);
@@ -338,16 +341,114 @@ TEST(DdSession, RepeatVerificationHitsTheOperationCache) {
 
     const DdBackend backend;
     const EvalState evalTarget(target);
-    const double first = backend.preparationFidelity(prep.circuit, evalTarget);
-    const auto afterFirst = backend.ddSession()->stats();
-    const double second = backend.preparationFidelity(prep.circuit, evalTarget);
-    const auto afterSecond = backend.ddSession()->stats();
+    const dd::DdSessionStats sharedBefore = backend.ddSession()->stats();
+    const VerifyReport once = backend.verify({&prep.circuit, &evalTarget});
+    const VerifyReport twice = backend.verify({&prep.circuit, &evalTarget, 2});
+    const double direct = backend.preparationFidelity(prep.circuit, evalTarget);
 
-    EXPECT_NEAR(first, prep.approx.fidelity, 1e-6);
-    EXPECT_EQ(second, first); // cached overlap is the identical double
-    EXPECT_GT(afterSecond.cache.hits, afterFirst.cache.hits);
-    // No new structure on the second run: the pool did not grow.
-    EXPECT_EQ(afterSecond.poolNodes, afterFirst.poolNodes);
+    EXPECT_NEAR(once.fidelity, prep.approx.fidelity, 1e-6);
+    EXPECT_EQ(twice.fidelity, once.fidelity); // the identical double
+    EXPECT_EQ(direct, once.fidelity);
+    // The repeat adds lookups that hit and no structure.
+    EXPECT_GT(twice.cacheHits, once.cacheHits);
+    EXPECT_GT(twice.cacheLookups, once.cacheLookups);
+    EXPECT_EQ(twice.ddNodes, once.ddNodes);
+    // A second single run starts cold again: the same figures as the first.
+    const VerifyReport again = backend.verify({&prep.circuit, &evalTarget});
+    EXPECT_EQ(again.fidelity, once.fidelity);
+    EXPECT_EQ(again.ddNodes, once.ddNodes);
+    EXPECT_EQ(again.cacheLookups, once.cacheLookups);
+    EXPECT_EQ(again.cacheHits, once.cacheHits);
+    // No verification wrote the shared session: pool and counters alike.
+    EXPECT_TRUE(backend.ddSession()->stats() == sharedBefore);
+}
+
+TEST(DdSession, ResetEmptiesThePoolAndInvalidatesTheCache) {
+    const Dimensions dims{3, 6, 2};
+    dd::DdSession session;
+    const DecisionDiagram expectedPool = session.wState(dims);
+    const std::uint64_t freshPool = session.stats().poolNodes;
+    const dd::UniqueTableStats freshUnique = session.stats().unique;
+
+    dd::DdSession used;
+    {
+        const DecisionDiagram ghz = used.ghzState(dims);
+        (void)used.simulate(prepareExact(ghz).circuit);
+    }
+    dd::ComputeCache& cache = used.store()->computeCache();
+    cache.store(dd::ComputeCache::Op::Add, 1, 2, Complex{0.5, 0.0},
+                dd::ComputeCache::Result{3, Complex{1.0, 0.0}});
+    ASSERT_TRUE(
+        cache.lookup(dd::ComputeCache::Op::Add, 1, 2, Complex{0.5, 0.0}).has_value());
+    ASSERT_GT(used.stats().poolNodes, 1U);
+
+    used.reset();
+    EXPECT_EQ(used.stats().poolNodes, 1U); // the terminal only
+    EXPECT_EQ(used.store()->uniqueTable().size(), 0U);
+    EXPECT_EQ(used.stats().unique.lookups, 0U);
+    EXPECT_EQ(used.stats().cache.lookups, 0U);
+    // The entry stored before the reset is gone.
+    EXPECT_FALSE(
+        cache.lookup(dd::ComputeCache::Op::Add, 1, 2, Complex{0.5, 0.0}).has_value());
+    EXPECT_EQ(cache.stats().lookups, 1U);
+    EXPECT_EQ(cache.stats().hits, 0U);
+
+    // A reset session rebuilds exactly what a fresh one does.
+    const DecisionDiagram rebuilt = used.wState(dims);
+    EXPECT_EQ(used.stats().poolNodes, freshPool);
+    EXPECT_EQ(used.stats().unique.lookups, freshUnique.lookups);
+    EXPECT_EQ(used.stats().unique.hits, freshUnique.hits);
+    EXPECT_EQ(rebuilt.rootNode(), expectedPool.rootNode());
+    EXPECT_NEAR(rebuilt.fidelityWith(states::wState(dims)), 1.0, kTol);
+
+    // A diagram on the session is still alive, so the session refuses.
+    EXPECT_THROW(used.reset(), InvalidArgumentError);
+}
+
+TEST(ScratchSessionPool, LeasesAreDistinctAndReturnReset) {
+    const Dimensions dims{3, 6, 2};
+    dd::ScratchSessionPool pool(Tolerance::kDefault);
+    const dd::DdSession* first = nullptr;
+    {
+        const auto a = pool.acquire();
+        const auto b = pool.acquire();
+        EXPECT_NE(&a.session(), &b.session()); // concurrent leases never share
+        first = &a.session();
+        (void)a.session().ghzState(dims);
+        EXPECT_GT(a.session().stats().poolNodes, 1U);
+    }
+    EXPECT_EQ(pool.idleCount(), 2U);
+    {
+        const auto c = pool.acquire();
+        const auto d = pool.acquire();
+        EXPECT_TRUE(&c.session() == first || &d.session() == first); // reused
+        EXPECT_EQ(c.session().stats().poolNodes, 1U);                // and reset
+        EXPECT_EQ(d.session().stats().poolNodes, 1U);
+    }
+    EXPECT_EQ(pool.idleCount(), 2U);
+
+    // A diagram that outlives its lease keeps the nodes it reads: the
+    // session leaves the list instead of being reset under it.
+    DecisionDiagram escaped;
+    {
+        const auto lease = pool.acquire();
+        escaped = lease.session().ghzState(dims);
+    }
+    EXPECT_EQ(pool.idleCount(), 1U);
+    EXPECT_NEAR(escaped.fidelityWith(states::ghz(dims)), 1.0, kTol);
+}
+
+TEST(NodeMemo, EachPassStartsEmpty) {
+    dd::detail::NodeMemo<NodeRef> memo;
+    memo.beginPass(4);
+    EXPECT_EQ(memo.find(2), nullptr);
+    memo.insert(2, 9);
+    ASSERT_NE(memo.find(2), nullptr);
+    EXPECT_EQ(*memo.find(2), 9U);
+    memo.beginPass(8); // grows, and forgets the last pass
+    EXPECT_EQ(memo.find(2), nullptr);
+    memo.insert(7, 1);
+    EXPECT_EQ(*memo.find(7), 1U);
 }
 
 TEST(DdSession, PastCeilingFamiliesStayPolynomial) {

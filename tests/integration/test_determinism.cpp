@@ -381,17 +381,17 @@ TEST(ThreadDeterminism, ControlLatticeMatchesDigitWalkOracle) {
 
 // --- shared-session batch determinism ---------------------------------------
 //
-// `DdBackend::verifyBatch` fans items out across the pool while
-// every item interns into the backend's one shared DdSession. The sharded
-// uniquing table guarantees the set of distinct node keys — and therefore
-// the final `dd_nodes` — is a function of the work alone, not of the thread
-// count or the interleaving; fidelities are bit-identical because every
-// node key carries bit-equal weights no matter which thread interned it.
+// `DdBackend::verifyBatch` fans items out across the pool; every item
+// replays on a scratch session of its own and only reads the backend's
+// shared DdSession, which holds targets built on it. So the shared
+// `dd_nodes` is exactly what the targets built, each item's report
+// (fidelity, scratch `dd_nodes`, cache counters) is a function of that
+// item alone, and none of it depends on the thread count, the
+// interleaving or the item order — bit for bit.
 //
-// The families are curated so no two distinct targets produce bucketed-
-// equal-but-bit-different weights on a shared key (e.g. a ghz 1/sqrt(2)
-// racing a cyclic sqrt(0.5) into the same bucket would make "who interns
-// first" observable in the last ulp).
+// The families are the ones that, when every item interned into one
+// shared session, were curated so no two distinct targets produce
+// bucketed-equal-but-bit-different weights on a shared key.
 
 struct SharedSessionFixture {
     std::vector<StateVector> denseTargets;
@@ -418,9 +418,11 @@ struct SharedSessionFixture {
 /// Run the fixture's batch on a fresh backend pinned to `threads`; also
 /// build the cyclic and dicke targets as session diagrams first, so the
 /// memoized session builders contribute to the session's node population
-/// at every thread count.
+/// at every thread count. Reports are re-indexed to the fixture order.
 struct SharedSessionRun {
     std::vector<double> fidelities;
+    std::vector<VerifyReport> reports;
+    std::uint64_t poolNodesBeforeBatch = 0;
     std::uint64_t poolNodes = 0;
 
     SharedSessionRun(const SharedSessionFixture& fixture, unsigned threads,
@@ -436,13 +438,14 @@ struct SharedSessionRun {
         if (reverseItems) {
             std::reverse(items.begin(), items.end());
         }
-        const auto results = backend.verifyBatch(items);
-        for (const auto& result : results) {
-            EXPECT_FALSE(result.failed) << result.error;
-            fidelities.push_back(result.fidelity);
-        }
+        poolNodesBeforeBatch = session->stats().poolNodes;
+        reports = backend.verifyBatch(items);
         if (reverseItems) {
-            std::reverse(fidelities.begin(), fidelities.end());
+            std::reverse(reports.begin(), reports.end());
+        }
+        for (const auto& report : reports) {
+            EXPECT_FALSE(report.failed) << report.error;
+            fidelities.push_back(report.fidelity);
         }
         poolNodes = session->stats().poolNodes;
     }
@@ -466,13 +469,33 @@ TEST(SharedSessionDeterminism, BatchFidelitiesBitIdenticalAcrossThreadCounts) {
     }
 }
 
+/// Every item's scratch-session figures match between two runs.
+void expectSameItemFigures(const SharedSessionRun& run, const SharedSessionRun& baseline,
+                           const std::string& label) {
+    ASSERT_EQ(run.reports.size(), baseline.reports.size());
+    for (std::size_t i = 0; i < run.reports.size(); ++i) {
+        EXPECT_EQ(run.reports[i].ddNodes, baseline.reports[i].ddNodes)
+            << "item " << i << " " << label;
+        EXPECT_EQ(run.reports[i].cacheLookups, baseline.reports[i].cacheLookups)
+            << "item " << i << " " << label;
+        EXPECT_EQ(run.reports[i].cacheHits, baseline.reports[i].cacheHits)
+            << "item " << i << " " << label;
+    }
+}
+
 TEST(SharedSessionDeterminism, SessionNodeCountInvariantAcrossThreadCounts) {
     const SharedSessionFixture fixture;
     const SharedSessionRun baseline(fixture, 1);
     EXPECT_GT(baseline.poolNodes, 1U);
+    // The batch writes nothing into the shared session.
+    EXPECT_EQ(baseline.poolNodes, baseline.poolNodesBeforeBatch);
+    for (const auto& report : baseline.reports) {
+        EXPECT_GT(report.ddNodes, 1U);
+    }
     for (const unsigned threads : {2U, 4U, 7U}) {
         const SharedSessionRun run(fixture, threads);
         EXPECT_EQ(run.poolNodes, baseline.poolNodes) << threads << " threads";
+        expectSameItemFigures(run, baseline, "at " + std::to_string(threads) + " threads");
     }
 }
 
@@ -485,13 +508,14 @@ TEST(SharedSessionDeterminism, ItemOrderDoesNotChangeFidelitiesOrNodeCount) {
         EXPECT_EQ(reversed.fidelities[i], forward.fidelities[i]) << "item " << i;
     }
     EXPECT_EQ(reversed.poolNodes, forward.poolNodes);
+    expectSameItemFigures(reversed, forward, "in reverse order");
 }
 
 // --- session-backed intra-apply determinism ----------------------------------
 //
-// Single-item DdBackend calls replay and verify one diagram serially on
-// the backend's shared session, whatever width the backend is configured
-// with. The session's `dd_nodes` and every fidelity are functions of the
+// Single-item DdBackend calls replay one diagram serially on the
+// backend's shared session, and verify it serially on a scratch session,
+// whatever width the backend is configured with. The session's `dd_nodes` and every fidelity are functions of the
 // work alone — invariant across thread counts and item order, bit-for-bit.
 // A backend configured wider must not change a single bit of either.
 

@@ -125,23 +125,28 @@ TEST(ServeService, GcCompactsToLiveRootsAndVerificationSurvives) {
     EXPECT_EQ(field(ok(service, "VERIFY --id 1"), "fidelity"), "1.000000000");
 }
 
-TEST(ServeService, RepeatVerificationsHitTheComputeCacheAcrossGc) {
+TEST(ServeService, RepeatVerificationsLeaveTheSharedSessionUntouchedAcrossGc) {
     VerificationService service;
-    // An approximated target: its fidelity is < 1, so repeat verification
-    // cannot shortcut on root identity and must run the cached inner
-    // product (exact targets short-circuit before the cache).
+    // An approximated target: its fidelity is < 1, so verification cannot
+    // shortcut on root identity and must walk the overlap.
     const std::string prep = ok(service, "PREP:RANDOM --dims 2,2,2,2 --seed 7 --approx 0.9");
     const std::string fidelity = field(prep, "approx_fidelity");
     ASSERT_NE(fidelity, "");
     ASSERT_LT(std::stod(fidelity), 1.0);
 
+    // VERIFY and BATCH replay on scratch sessions: the shared pool and
+    // every table and cache counter stay exactly as PREP left them.
+    const dd::DdSessionStats afterPrep = service.session()->stats();
     EXPECT_EQ(field(ok(service, "VERIFY --repeat 2"), "fidelity"), fidelity);
-    const std::uint64_t hitsBefore = service.session()->stats().cache.hits;
-    EXPECT_GT(hitsBefore, 0U);
+    EXPECT_EQ(field(ok(service, "BATCH"), "min_fidelity"), fidelity);
+    EXPECT_TRUE(service.session()->stats() == afterPrep);
 
+    // GC renumbers the target's nodes; the answer does not move.
     ok(service, "GC");
+    const dd::DdSessionStats afterGc = service.session()->stats();
     EXPECT_EQ(field(ok(service, "VERIFY --repeat 2"), "fidelity"), fidelity);
-    EXPECT_GT(service.session()->stats().cache.hits, hitsBefore);
+    EXPECT_EQ(field(ok(service, "BATCH"), "min_fidelity"), fidelity);
+    EXPECT_TRUE(service.session()->stats() == afterGc);
 }
 
 TEST(ServeService, HundredCyclesKeepThePoolBounded) {

@@ -10,6 +10,7 @@
 #include "mqsp/states/states.hpp"
 #include "mqsp/support/error.hpp"
 #include "mqsp/support/parallel.hpp"
+#include "mqsp/support/rng.hpp"
 #include "mqsp/synth/synthesizer.hpp"
 
 #include <gtest/gtest.h>
@@ -276,15 +277,13 @@ TEST_P(BatchVerify, EmptyBatchIsANoOp) {
     EXPECT_TRUE(DenseBackend().verifyBatch({}).empty());
 }
 
-TEST_P(BatchVerify, RepeatedItemsResolveFromTheSharedSessionCache) {
-    // All batch items of a DdBackend intern into the backend's one shared
-    // DdSession (there is no per-item escape hatch), so a repeated item is
-    // served by session state the first run left behind: its nodes hit in
-    // the uniquing table instead of allocating, and its overlap traversal
-    // hits the session compute cache. An exactly-reproduced target resolves
-    // by root identity before the compute cache is even consulted, so the
-    // batch includes a mismatched (fidelity < 1) pair whose overlap must
-    // descend — that descent is what the cache persists across calls.
+TEST_P(BatchVerify, RepeatedItemsLeaveTheSharedSessionUntouched) {
+    // Every batch item replays on a scratch session of its own, so a batch
+    // writes nothing into the backend's shared session, and an item's
+    // report depends on that item alone: running the batch again — or at
+    // another width, or through single verify calls — reproduces every
+    // figure exactly. The batch includes a mismatched (fidelity < 1) pair,
+    // whose overlap descends instead of resolving by root identity.
     const Dimensions dims{3, 4, 2};
     const StateVector ghz = states::ghz(dims);
     const auto prep = prepareExact(ghz);
@@ -293,27 +292,30 @@ TEST_P(BatchVerify, RepeatedItemsResolveFromTheSharedSessionCache) {
     const DdBackend backend(Tolerance::kDefault, parallel::ExecutionConfig{GetParam()});
     const std::vector<VerifyRequest> items = {{&prep.circuit, &ghzTarget},
                                                 {&prep.circuit, &wTarget}};
+    const dd::DdSessionStats sharedBefore = backend.ddSession()->stats();
 
     const auto first = backend.verifyBatch(items);
     ASSERT_EQ(first.size(), items.size());
     EXPECT_NEAR(first[0].fidelity, 1.0, 1e-9);
     EXPECT_LT(first[1].fidelity, 0.5); // |<w|ghz>|^2 — genuinely mismatched
-    const std::uint64_t poolAfterFirst = backend.ddSession()->stats().poolNodes;
+    EXPECT_GT(first[1].cacheLookups, 0U);
+    EXPECT_TRUE(backend.ddSession()->stats() == sharedBefore);
 
-    // Replay the whole batch on the same backend: every node re-resolves
-    // from the shared table (no growth), the mismatched overlap resolves
-    // from the compute cache, and the fidelities come out bit-identical.
     const auto second = backend.verifyBatch(items);
+    const DdBackend serial(Tolerance::kDefault, parallel::ExecutionConfig{1});
     ASSERT_EQ(second.size(), items.size());
     for (std::size_t i = 0; i < items.size(); ++i) {
-        EXPECT_FALSE(second[i].failed) << second[i].error;
-        EXPECT_EQ(second[i].fidelity, first[i].fidelity) << "item " << i;
+        const VerifyReport single = serial.verify(items[i]);
+        for (const VerifyReport* other : {&second[i], &single}) {
+            EXPECT_FALSE(other->failed) << other->error;
+            EXPECT_EQ(other->fidelity, first[i].fidelity) << "item " << i;
+            EXPECT_EQ(other->ddNodes, first[i].ddNodes) << "item " << i;
+            EXPECT_EQ(other->cacheLookups, first[i].cacheLookups) << "item " << i;
+            EXPECT_EQ(other->cacheHits, first[i].cacheHits) << "item " << i;
+        }
+        EXPECT_GT(first[i].ddNodes, 1U) << "item " << i;
     }
-    const dd::DdSessionStats stats = backend.ddSession()->stats();
-    EXPECT_EQ(stats.poolNodes, poolAfterFirst);
-    EXPECT_GT(stats.unique.hits, 0U);
-    EXPECT_GT(stats.cache.hits, 0U);
-    EXPECT_GT(stats.cacheHitRate(), 0.0);
+    EXPECT_TRUE(backend.ddSession()->stats() == sharedBefore);
 }
 
 /// "t<threads>" row labels (built without operator+ folding, which trips a
@@ -346,23 +348,65 @@ TEST(SingleVerify, ReportCarriesFidelityOpsAndSessionMetrics) {
     const auto prep = prepareExact(ghz);
     const EvalState target(ghz);
     const DdBackend backend;
+    const dd::DdSessionStats sharedBefore = backend.ddSession()->stats();
     const VerifyReport report = backend.verify({&prep.circuit, &target});
     EXPECT_FALSE(report.failed) << report.error;
     EXPECT_NEAR(report.fidelity, 1.0, 1e-9);
     EXPECT_EQ(report.ops, prep.circuit.numOperations());
-    EXPECT_GT(report.ddNodes, 0U);
     EXPECT_TRUE(report.checkpoints.empty());
+    // dd_nodes is the pool of the call's scratch session: exactly what a
+    // fresh session holds after the same replay and target import.
+    {
+        const dd::DdSession fresh;
+        const DecisionDiagram replayed = fresh.simulate(prep.circuit);
+        const DecisionDiagram imported = fresh.intern(DecisionDiagram::fromStateVector(ghz));
+        EXPECT_EQ(report.ddNodes, fresh.stats().poolNodes);
+    }
 
-    // Repeats re-run the same replay; the session serves the repeats from
-    // its caches, and the report's deltas measure exactly that. The target
-    // is deliberately mismatched (fidelity < 1): an exactly-reproduced
-    // target resolves by root identity before the compute cache is even
-    // consulted, so only a descending overlap exercises it.
+    // Repeats re-run the same replay on the same scratch session, which
+    // serves them from its caches; the report's counters measure exactly
+    // that. The target is deliberately mismatched (fidelity < 1): an
+    // exactly-reproduced target resolves by root identity before the
+    // compute cache is even consulted, so only a descending overlap
+    // exercises it.
     const EvalState mismatched(states::wState({3, 4, 2}));
     const VerifyReport repeated = backend.verify({&prep.circuit, &mismatched, 3});
     EXPECT_FALSE(repeated.failed) << repeated.error;
     EXPECT_LT(repeated.fidelity, 1.0);
     EXPECT_GT(repeated.cacheHits, 0U);
+    // Neither call wrote the shared session.
+    EXPECT_TRUE(backend.ddSession()->stats() == sharedBefore);
+}
+
+TEST(SingleVerify, AnswerDoesNotDependOnEarlierVerifications) {
+    // The same verification on a fresh backend, and on one that has
+    // already verified unrelated circuits and holds unrelated states in
+    // its shared session, must report the identical double and figures.
+    const Dimensions dims{4, 3, 2, 5};
+    Rng rng(0x5C4A7C8ULL);
+    const StateVector target = states::random(dims, rng);
+    const auto prep = prepareApproximated(target, 0.95);
+    const EvalState evalTarget(target);
+
+    const VerifyReport fresh = DdBackend().verify({&prep.circuit, &evalTarget});
+    ASSERT_FALSE(fresh.failed) << fresh.error;
+
+    const DdBackend busy;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Rng other(seed);
+        const StateVector unrelated = states::random(dims, other);
+        const auto unrelatedPrep = prepareExact(unrelated);
+        const EvalState unrelatedTarget(unrelated);
+        (void)busy.verify({&unrelatedPrep.circuit, &unrelatedTarget});
+        (void)busy.runFromZero(unrelatedPrep.circuit); // shared-session history too
+    }
+    (void)busy.verify({&prep.circuit, &evalTarget, 2});
+    const VerifyReport later = busy.verify({&prep.circuit, &evalTarget});
+    EXPECT_EQ(later.fidelity, fresh.fidelity);
+    EXPECT_EQ(later.ddNodes, fresh.ddNodes);
+    EXPECT_EQ(later.cacheLookups, fresh.cacheLookups);
+    EXPECT_EQ(later.cacheHits, fresh.cacheHits);
+    EXPECT_EQ(busy.preparationFidelity(prep.circuit, evalTarget), fresh.fidelity);
 }
 
 TEST(SingleVerify, NullItemsFailInTheReportNotByThrowing) {

@@ -315,10 +315,9 @@ int main(int argc, char** argv) {
             target = EvalState(state);
         } else {
             // DD pipeline: structured targets are built natively as
-            // diagrams — exact ones on the backend's DD session, so the
-            // verification replay later allocates into (and hits) the same
-            // uniquing table the target was built through; everything else
-            // goes dense -> diagram under the dense ceiling guard. (The
+            // diagrams — exact ones on the backend's DD session, which
+            // interns them canonically; everything else goes dense ->
+            // diagram under the dense ceiling guard. (The
             // DAG-form builders + --approx land on the dense path too: the
             // approximation pass needs a tree-shaped diagram, which also
             // rules out the session store — pruning mutates nodes in
@@ -391,6 +390,19 @@ int main(int argc, char** argv) {
                 detail::throwInvalidArgument(report.error);
             }
             std::fprintf(stderr, "verified fidelity : %.9f\n", report.fidelity);
+            if (backend->kind() == BackendKind::Dd) {
+                // The verification's own scratch session (sim/backend.hpp):
+                // what the replay, target import and overlap built.
+                std::fprintf(stderr,
+                             "dd verify         : %llu pool nodes, cache_hit_rate %.3f "
+                             "(%llu/%llu)\n",
+                             static_cast<unsigned long long>(report.ddNodes),
+                             dd::ComputeCacheStats{.lookups = report.cacheLookups,
+                                                   .hits = report.cacheHits}
+                                 .hitRate(),
+                             static_cast<unsigned long long>(report.cacheHits),
+                             static_cast<unsigned long long>(report.cacheLookups));
+            }
         }
         if (const auto noiseSpec = argValue(argc, argv, "--noise")) {
             const double eps = cli::argDouble(argc, argv, "--noise", 0.0);
@@ -417,8 +429,9 @@ int main(int argc, char** argv) {
                          rho.trace());
         }
         if (const auto session = backend->ddSession()) {
-            // Session memory report: how much structure the uniquing table
-            // shared between the target build and the verification replay.
+            // Shared-session memory report: what the target build interned
+            // (verification runs on its own scratch session, reported on
+            // the `dd verify` line above).
             const auto sessionStats = session->stats();
             std::fprintf(stderr,
                          "dd session        : %llu pool nodes, unique_hit_rate %.3f "

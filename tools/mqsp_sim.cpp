@@ -222,8 +222,9 @@ int main(int argc, char** argv) {
                         eps, rho.fidelityWithPure(ideal), rho.purity(), rho.trace());
         }
         if (const auto session = backend->ddSession()) {
-            // DD memory report on stderr (stdout stays pipeable): the pool
-            // the replay interned into and the table/cache hit rates.
+            // DD memory report on stderr (stdout stays pipeable): the
+            // shared session the replay (runFromZero or the stream) interned
+            // into, and its table/cache hit rates.
             const auto sessionStats = session->stats();
             std::fprintf(stderr,
                          "dd session: %llu pool nodes, unique_hit_rate %.3f, "
